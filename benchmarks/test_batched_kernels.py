@@ -1,10 +1,11 @@
 """Batched kernel microbenchmark: B trajectories per call vs one at a time.
 
-Runs the same noisy per-shot workload through the sequential optimized
-backend and through the ``batched`` backend (B trajectories as a
-``(B, 2**n)`` array, one kernel call per gate) and asserts the batch
-amortisation wins.  This is the acceptance microbenchmark for the
-batched-trajectory backend (Figure 8 on the NumPy substrate).
+Runs the same noisy per-shot workload through the per-shot baseline on the
+optimized backend and through the engine on a no-reuse single-shot plan on
+the ``batched`` backend (B trajectories as a ``(B, 2**n)`` array, one kernel
+call per gate) and asserts the batch amortisation wins.  This is the
+acceptance microbenchmark for the batched-trajectory backend (Figure 8 on
+the NumPy substrate).
 """
 
 import os
@@ -16,7 +17,7 @@ from conftest import print_table
 
 from repro.backends import get_backend
 from repro.circuits.library import qft_circuit
-from repro.core import BaselineNoisySimulator, BatchedTrajectorySimulator
+from repro.core import BaselineNoisySimulator, SingleShotPartitioner, TQSimEngine
 from repro.noise.sycamore import depolarizing_noise_model
 
 WIDTH = 10
@@ -40,13 +41,13 @@ def _run_sequential() -> float:
 
 def _run_batched() -> float:
     circuit = qft_circuit(WIDTH)
-    simulator = BatchedTrajectorySimulator(
-        depolarizing_noise_model(), seed=9, batch_size=BATCH
-    )
+    noise_model = depolarizing_noise_model()
+    plan = SingleShotPartitioner().plan(circuit, SHOTS, noise_model)
+    engine = TQSimEngine(noise_model, seed=9, backend="batched", max_batch=BATCH)
     timings = []
     for _ in range(ROUNDS):
         start = time.perf_counter()
-        simulator.run(circuit, SHOTS)
+        engine.run(circuit, SHOTS, plan=plan)
         timings.append(time.perf_counter() - start)
     return min(timings)
 

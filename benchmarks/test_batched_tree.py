@@ -1,12 +1,12 @@
 """Batched-tree microbenchmark: sibling subtrees per kernel call vs one at a time.
 
 Runs the same noisy tree-reuse workload — one high-arity two-layer plan —
-through the sequential ``TQSimEngine`` traversal and through the batched
-sibling-subtree traversal (the parent state broadcast into a ``(B, 2**n)``
-batch, one kernel call per gate for all ``B`` children) and asserts the batch
-amortisation wins.  This is the acceptance microbenchmark for the batched
-tree engine: reuse eliminates the shared-prefix work, batching accelerates
-the fan-out that remains.
+through ``TQSimEngine`` on the ``optimized`` backend, whose batch surface
+loops the sibling rows one kernel call per row, and on the ``batched``
+backend (the parent state broadcast into a ``(B, 2**n)`` batch, one kernel
+call per gate for all ``B`` children) and asserts the batch amortisation
+wins.  Reuse eliminates the shared-prefix work, batching accelerates the
+fan-out that remains.
 """
 
 import os
@@ -56,8 +56,8 @@ def test_batched_tree_beats_sequential_tree(benchmark):
         f"Batched tree — {WIDTH}-qubit noisy QFT, {SHOTS} shots, "
         f"tree {sequential.metadata['tree']}",
         [
-            {"execution": "sequential tree", "seconds": sequential_seconds},
-            {"execution": "batched tree", "seconds": batched_seconds},
+            {"execution": "row-looping (optimized)", "seconds": sequential_seconds},
+            {"execution": "vectorised (batched)", "seconds": batched_seconds},
             {"execution": "speedup", "seconds": speedup},
         ],
     )
@@ -67,9 +67,9 @@ def test_batched_tree_beats_sequential_tree(benchmark):
     assert batched.cost.state_copies == sequential.cost.state_copies
     assert batched.cost.leaf_samples == sequential.cost.leaf_samples
     assert batched.shots == sequential.shots
-    # Seeding contract v2: per-node path-keyed streams make the batched
-    # traversal bitwise identical to the sequential one, not just
-    # statistically equivalent.
+    # Seeding contract v2: per-node path-keyed streams make the vectorised
+    # kernels bitwise identical to the row loop, not just statistically
+    # equivalent.
     assert batched.counts == sequential.counts
     if os.environ.get("CI"):
         pytest.skip(

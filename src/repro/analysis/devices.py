@@ -1,38 +1,19 @@
-"""Modeled device profiles (and a re-export shim for execution backends).
+"""Modeled device profiles: analytic gate and copy timings per platform.
 
 The paper demonstrates TQSim on three backends (Qulacs CPU, CuStateVec GPU,
 qHiPSTER cluster) and argues the gains are backend independent because they
-come from *computation reduction*.  The concrete execution backends now live
-in :mod:`repro.backends` (a :class:`~repro.backends.base.Backend` ABC behind
-a string-keyed registry); they are re-exported here so existing imports keep
-working.  :class:`DeviceProfile` additionally lets experiments convert the
+come from *computation reduction*.  :class:`DeviceProfile` converts the
 backend-independent cost counters into modeled wall-clock on the paper's
-devices (used by the GPU-backend and parallel-shot studies).
+devices (used by the copy-cost, GPU-backend and parallel-shot studies).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.backends import (
-    Backend,
-    BatchedNumpyBackend,
-    NumpyBackend,
-    OptimizedNumpyBackend,
-    available_backends,
-    get_backend,
-    register_backend,
-)
 from repro.core.results import CostCounters
 
 __all__ = [
-    "Backend",
-    "BatchedNumpyBackend",
-    "NumpyBackend",
-    "OptimizedNumpyBackend",
-    "available_backends",
-    "get_backend",
-    "register_backend",
     "DeviceProfile",
     "XEON_6130",
     "XEON_6138",

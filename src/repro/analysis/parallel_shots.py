@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.backends import A100, DeviceProfile
+from repro.analysis.devices import A100, DeviceProfile
 
 __all__ = ["ParallelShotPoint", "parallel_shot_speedup", "parallel_shot_sweep"]
 

@@ -8,6 +8,15 @@ paper's central claim — that tree-based trajectory reuse is backend
 independent — testable: any registered backend can be swapped in via
 :func:`repro.backends.get_backend`.
 
+Batches
+-------
+The engine's tree traversal advances sibling trajectories as the rows of a
+``(B, 2**n)`` array (:meth:`Backend.allocate_batch`).  The ABC supplies a
+generic batch surface that loops the rows through the single-state kernels
+(``apply_gate``, ``apply_noise_events_multi``, ``sample_outcomes_multi``);
+:class:`~repro.backends.batched.BatchedNumpyBackend` overrides it with
+vectorised kernels that advance every row in one call.
+
 Mutation contract
 -----------------
 ``apply_unitary`` / ``apply_gate`` / ``apply_noise`` *may* transform the state
@@ -49,12 +58,6 @@ class Backend(ABC):
     #: Registry key of the backend (subclasses override).
     name: str = "abstract"
 
-    #: True when the backend's kernels advance a ``(B, 2**n)`` batch of
-    #: trajectories per call (and it provides ``allocate_batch`` /
-    #: ``sample_outcomes``).  Batch-aware engines key off this flag instead
-    #: of probing for individual methods.
-    supports_batch: bool = False
-
     # ------------------------------------------------------------------
     # State management
     # ------------------------------------------------------------------
@@ -62,30 +65,31 @@ class Backend(ABC):
         """Allocate an *uninitialised* state buffer (for buffer pools)."""
         return np.empty(2**num_qubits, dtype=complex)
 
+    def allocate_batch(self, num_qubits: int, rows: int) -> np.ndarray:
+        """Allocate an *uninitialised* ``(rows, 2**n)`` batch of states."""
+        if rows < 1:
+            raise ValueError("rows must be >= 1")
+        return np.empty((rows, 2**num_qubits), dtype=complex)
+
     def initial_state(self, num_qubits: int) -> np.ndarray:
         """Allocate |0...0>."""
         return self.reset_state(self.allocate_state(num_qubits))
 
     def reset_state(self, state: np.ndarray) -> np.ndarray:
-        """Overwrite ``state`` with |0...0> in place and return it."""
+        """Overwrite ``state`` (or every row of a batch) with |0...0> in place."""
         state.fill(0.0)
-        state[0] = 1.0
+        state[..., 0] = 1.0
         return state
 
     def copy_state(self, state: np.ndarray) -> np.ndarray:
         """Deep copy of a statevector (the operation TQSim pays for reuse)."""
         return state.copy()
 
-    def copy_into(self, dest: np.ndarray, src: np.ndarray) -> np.ndarray:
-        """Copy ``src`` into the preallocated ``dest`` buffer and return it."""
-        np.copyto(dest, src)
-        return dest
-
     def broadcast_into(self, batch: np.ndarray, state: np.ndarray) -> np.ndarray:
         """Copy one statevector into every row of a ``(B, 2**n)`` batch.
 
-        This is the reuse copy of the batched tree traversal: a parent's
-        pooled state fans out to ``B`` sibling trajectories in one write.
+        This is the reuse copy of the tree traversal: a parent's pooled
+        state fans out to ``B`` sibling trajectories in one write.
         Each row is a full copy, so callers account ``B`` state copies.
         """
         np.copyto(batch, state.reshape(1, -1) if state.ndim == 1 else state)
@@ -106,8 +110,20 @@ class Backend(ABC):
         """
 
     def apply_gate(self, state: np.ndarray, gate: Gate) -> np.ndarray:
-        """Apply one ideal gate."""
-        return self.apply_unitary(state, gate.to_matrix(), gate.qubits)
+        """Apply one ideal gate to a statevector or to every batch row.
+
+        The generic batch form loops the rows of a ``(B, 2**n)`` state
+        through :meth:`apply_unitary`, writing out-of-place results back
+        into the row, and returns the batch itself.
+        """
+        matrix = gate.to_matrix()
+        if state.ndim == 1:
+            return self.apply_unitary(state, matrix, gate.qubits)
+        for row in state:
+            out = self.apply_unitary(row, matrix, gate.qubits)
+            if out is not row:
+                np.copyto(row, out)
+        return state
 
     def apply_noise(
         self,
@@ -202,6 +218,11 @@ class Backend(ABC):
         ``rng.choice(p=...)``, and vectorised per-bit readout flips.  This is
         the single shared implementation behind every trajectory simulator.
         """
+        if state.ndim != 1:
+            raise ValueError(
+                "sample_outcome takes one statevector; use "
+                "sample_outcomes_multi for a batch"
+            )
         cumulative = np.cumsum(self.probabilities(state))
         outcome = inverse_cdf_index(cumulative, rng)
         num_qubits = int(cumulative.size).bit_length() - 1

@@ -1,4 +1,4 @@
-"""Batched-trajectory backend: B noisy trajectories as one ``(B, 2**n)`` array.
+"""Vectorised batch backend: B noisy trajectories as one ``(B, 2**n)`` array.
 
 The paper's Figure 8 observes that one statevector update of a small circuit
 does not saturate the device, so executing B trajectories *batched* — one
@@ -13,22 +13,21 @@ The gate numerics are inherited from
 slice-view kernels address qubit ``t`` through a trailing ``(..., 2, 2**t)``
 reshape whose leading axis absorbs any batch dimension, so applying them to
 the flattened batch advances each row bit-for-bit like a single state on the
-optimized backend.  What this subclass adds is the batch semantics on top:
-mixed-unitary noise samples one branch *per trajectory* (a single vectorised
-draw), then applies each sampled branch's unitary to the sub-batch of rows
-that drew it; general Kraus channels fall back to a per-trajectory loop
-because their branch probabilities depend on the state.  Measurement is one
-batched inverse-CDF pass over row-wise cumulative probabilities (a single
-uniform draw call and one vectorised comparison sum for the whole batch),
-with readout flips vectorised across the whole batch.
+optimized backend.  What this subclass adds is the vectorised form of the
+:class:`~repro.backends.base.Backend` ABC's row-looping batch surface: one
+kernel call per gate for every row; mixed-unitary noise samples one branch
+*per trajectory*, then applies each sampled branch's unitary to the
+sub-batch of rows that drew it (general Kraus channels keep a
+per-trajectory loop because their branch probabilities depend on the
+state); measurement is one inverse-CDF pass over row-wise cumulative
+probabilities with readout flips vectorised across the batch.
 
-The per-row multi-stream paths (``apply_noise_events_multi`` /
-``sample_outcomes_multi``) keep the same shape when the rows' streams are
-path-keyed counter streams (:class:`~repro.core.pathrng.PathStream`): the
-next uniform of every row is a pure function of ``(key, counter)``, so one
+When the rows' streams are path-keyed counter streams
+(:class:`~repro.core.pathrng.PathStream`), the next uniform of every row is
+a pure function of ``(key, counter)``, so one
 :func:`~repro.core.pathrng.draw_block` call produces the whole batch's draws
-— bitwise identical to the per-row scalar draws the sequential traversal
-performs — and no per-row Python loop survives on the hot path.
+— bitwise identical to the per-row scalar draws of the row-looping backends
+— and no per-row Python loop survives on the hot path.
 """
 
 from __future__ import annotations
@@ -38,6 +37,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from repro.backends.optimized import OptimizedNumpyBackend
+from repro.circuits.gate import Gate
 from repro.noise.channels import ReadoutError
 from repro.noise.model import NoiseEvent
 from repro.statevector.apply import apply_unitary
@@ -46,49 +46,13 @@ from repro.statevector.sampling import index_to_bitstring
 if TYPE_CHECKING:
     from repro.backends.base import RandomStream
 
-__all__ = ["BatchedNumpyBackend", "DEFAULT_BATCH_SIZE"]
-
-#: Batch size used when the backend is resolved from the registry.
-DEFAULT_BATCH_SIZE = 16
+__all__ = ["BatchedNumpyBackend"]
 
 
 class BatchedNumpyBackend(OptimizedNumpyBackend):
     """The optimized in-place backend, vectorised over a batch of trajectories."""
 
     name = "batched"
-    supports_batch = True
-
-    def __init__(self, batch_size: int = DEFAULT_BATCH_SIZE) -> None:
-        super().__init__()
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        self.batch_size = int(batch_size)
-
-    # ------------------------------------------------------------------
-    # State management
-    # ------------------------------------------------------------------
-    def allocate_batch(
-        self, num_qubits: int, batch_size: int | None = None
-    ) -> np.ndarray:
-        """Allocate an uninitialised batch of ``batch_size`` statevectors.
-
-        The scalar :class:`~repro.backends.base.Backend` contract stays
-        intact: ``allocate_state`` / ``initial_state`` still produce a single
-        ``(2**n,)`` statevector (every method accepts both shapes), so the
-        registered ``"batched"`` backend also works in the sequential
-        engines; only batch-aware callers allocate ``(B, 2**n)`` blocks.
-        """
-        if batch_size is None:
-            batch_size = self.batch_size
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        return np.empty((batch_size, 2**num_qubits), dtype=complex)
-
-    def reset_state(self, state: np.ndarray) -> np.ndarray:
-        """Reset every trajectory of ``state`` to |0...0> in place."""
-        state.fill(0.0)
-        state[..., 0] = 1.0
-        return state
 
     # ------------------------------------------------------------------
     # Evolution
@@ -126,42 +90,13 @@ class BatchedNumpyBackend(OptimizedNumpyBackend):
                 row[...] = apply_unitary(row, matrix, targets)
         return state
 
+    def apply_gate(self, state: np.ndarray, gate: Gate) -> np.ndarray:
+        """Apply one ideal gate to every row in a single kernel call."""
+        return self.apply_unitary(state, gate.to_matrix(), gate.qubits)
+
     # ------------------------------------------------------------------
     # Noise (per-trajectory sampling, group-wise application)
     # ------------------------------------------------------------------
-    def apply_noise_events(
-        self,
-        state: np.ndarray,
-        events: Sequence[NoiseEvent],
-        rng: RandomStream,
-    ) -> np.ndarray:
-        """Apply matched noise events with per-trajectory branch sampling."""
-        for event in events:
-            self._apply_event(state, event, rng)
-        return state
-
-    def _apply_event(
-        self, state: np.ndarray, event: NoiseEvent, rng: np.random.Generator
-    ) -> None:
-        channel = event.channel
-        batched = state if state.ndim == 2 else state.reshape(1, -1)
-        batch = batched.shape[0]
-        if channel.is_mixed_unitary:
-            # One vectorised draw decides every trajectory's branch; the
-            # batch is then partitioned by branch index and each branch's
-            # unitary is applied to its sub-batch in one kernel call.
-            indices = channel.sample_mixture_indices(rng, batch)
-            self._apply_sampled_branches(batched, event, indices)
-            return
-        # General Kraus channels: branch probabilities depend on the state,
-        # so each trajectory samples independently (functional application).
-        from repro.noise.trajectory import sample_channel_on_state
-
-        for i in range(batch):
-            batched[i], _ = sample_channel_on_state(
-                batched[i], channel, event.qubits, rng
-            )
-
     def _apply_sampled_branches(
         self, batched: np.ndarray, event: NoiseEvent, indices: np.ndarray
     ) -> None:
@@ -191,11 +126,11 @@ class BatchedNumpyBackend(OptimizedNumpyBackend):
     ) -> np.ndarray:
         """Apply noise events with row ``i`` sampling from ``rngs[i]``.
 
-        With path-keyed counter streams (the engine's traversals), each
+        With path-keyed counter streams (the engine's traversal), each
         mixed-unitary event takes *one* vectorised draw for the whole batch
         — every row's next uniform is a pure function of its ``(key,
-        counter)`` pair, bitwise identical to the scalar draw the sequential
-        path performs — and the branch *application* stays group-wise
+        counter)`` pair, bitwise identical to the scalar draw of the ABC's
+        row loop — and the branch *application* stays group-wise
         vectorised.  Generic per-row generators fall back to scalar draws.
         General Kraus channels keep the per-row loop either way (their
         branch probabilities depend on the state), each row consuming one
@@ -261,42 +196,6 @@ class BatchedNumpyBackend(OptimizedNumpyBackend):
     # ------------------------------------------------------------------
     # Measurement
     # ------------------------------------------------------------------
-    def sample_outcome(
-        self,
-        state: np.ndarray,
-        rng: RandomStream,
-        readout_error: ReadoutError | None = None,
-    ) -> str:
-        """Sample one outcome (only valid for a single-trajectory state)."""
-        if state.ndim == 1:
-            return super().sample_outcome(state, rng, readout_error)
-        if state.shape[0] != 1:
-            raise ValueError(
-                "sample_outcome on a batched state is ambiguous; "
-                "use sample_outcomes"
-            )
-        return self.sample_outcomes(state, rng, readout_error)[0]
-
-    def sample_outcomes(
-        self,
-        state: np.ndarray,
-        rng: RandomStream,
-        readout_error: ReadoutError | None = None,
-    ) -> list[str]:
-        """Sample one measurement outcome per trajectory.
-
-        One batched inverse-CDF pass: row-wise cumulative probabilities, one
-        uniform draw call for the whole batch, and one vectorised comparison
-        sum per row — ``sum(cumulative <= draw)`` is exactly
-        ``searchsorted(cumulative, draw, side="right")``, so outcomes are
-        bitwise identical to the per-trajectory draw.  Readout flips are
-        vectorised across the whole batch (the shared
-        :meth:`Backend._apply_readout_flips`).
-        """
-        batched = state if state.ndim == 2 else state.reshape(1, -1)
-        draws = rng.random(batched.shape[0])
-        return self._outcomes_from_draws(batched, draws, readout_error, rng)
-
     def sample_outcomes_multi(
         self,
         state: np.ndarray,
@@ -319,27 +218,15 @@ class BatchedNumpyBackend(OptimizedNumpyBackend):
             raise ValueError("need exactly one generator per batch row")
         from repro.core.pathrng import all_path_streams, draw_block
 
-        if all_path_streams(rngs):
+        block_draws = all_path_streams(rngs)
+        if block_draws:
             draws = draw_block(rngs, 1)[:, 0]
         else:
             draws = np.fromiter(
                 (rng.random() for rng in rngs), dtype=float, count=len(rngs)
             )
-        return self._outcomes_from_draws(batched, draws, readout_error, rngs)
-
-    def _outcomes_from_draws(
-        self,
-        batched: np.ndarray,
-        draws: np.ndarray,
-        readout_error: ReadoutError | None,
-        rng_or_rngs,
-    ) -> list[str]:
-        """Shared vectorised inverse-CDF pass over pre-drawn uniforms.
-
-        ``rng_or_rngs`` is either one generator (shared-stream sampling) or a
-        per-row sequence; it is only consumed further when readout flips are
-        needed.
-        """
+        # sum(cumulative <= draw) is exactly searchsorted(cumulative, draw,
+        # side="right"), so outcomes are bitwise the per-row draw's.
         probabilities = self.probabilities(batched)
         cumulative = np.cumsum(probabilities, axis=1)
         totals = cumulative[:, -1]
@@ -351,21 +238,15 @@ class BatchedNumpyBackend(OptimizedNumpyBackend):
         positions = np.sum(cumulative <= scaled[:, None], axis=1)
         outcomes = np.minimum(positions, dim - 1).astype(np.int64)
         if readout_error is not None:
-            from repro.core.pathrng import all_path_streams, draw_block
-
-            if isinstance(rng_or_rngs, np.random.Generator):
-                outcomes = self._apply_readout_flips(
-                    outcomes, num_qubits, readout_error, rng_or_rngs
-                )
-            elif all_path_streams(rng_or_rngs):
+            if block_draws:
                 # One block draw yields every row's flip uniforms at once,
                 # row i consuming counters exactly like its scalar path.
                 outcomes = self._readout_flips_from_uniforms(
                     outcomes, num_qubits, readout_error,
-                    draw_block(rng_or_rngs, num_qubits),
+                    draw_block(rngs, num_qubits),
                 )
             else:
-                for i, row_rng in enumerate(rng_or_rngs):
+                for i, row_rng in enumerate(rngs):
                     outcomes[i : i + 1] = self._apply_readout_flips(
                         outcomes[i : i + 1], num_qubits, readout_error, row_rng
                     )

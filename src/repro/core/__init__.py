@@ -1,25 +1,6 @@
 """TQSim core: trees, partitioners, the baseline simulator and the engine."""
 
-from repro.core.backends import (
-    A100,
-    CORE_I7,
-    DEVICE_PROFILES,
-    RTX_3060,
-    RYZEN_3800X,
-    V100,
-    XEON_6130,
-    XEON_6138,
-    Backend,
-    BatchedNumpyBackend,
-    DeviceProfile,
-    NumpyBackend,
-    OptimizedNumpyBackend,
-    available_backends,
-    get_backend,
-    register_backend,
-)
 from repro.core.baseline import BaselineNoisySimulator
-from repro.core.batched import BatchedTrajectorySimulator
 from repro.core.copycost import (
     DEFAULT_COPY_COST_IN_GATES,
     MODELED_SYSTEM_COPY_COSTS,
@@ -74,7 +55,6 @@ __all__ = [
     "ManualPartitioner",
     "DynamicCircuitPartitioner",
     "BaselineNoisySimulator",
-    "BatchedTrajectorySimulator",
     "TQSimEngine",
     "SubtreeAssignment",
     "PathStream",
@@ -85,22 +65,6 @@ __all__ = [
     "CostModel",
     "calibrate_cost_model",
     "get_cost_model",
-    "Backend",
-    "BatchedNumpyBackend",
-    "NumpyBackend",
-    "OptimizedNumpyBackend",
-    "available_backends",
-    "get_backend",
-    "register_backend",
-    "DeviceProfile",
-    "DEVICE_PROFILES",
-    "XEON_6130",
-    "XEON_6138",
-    "CORE_I7",
-    "RYZEN_3800X",
-    "RTX_3060",
-    "V100",
-    "A100",
     "CopyCostProfile",
     "measure_copy_cost",
     "MODELED_SYSTEM_COPY_COSTS",

@@ -13,12 +13,14 @@ planners a :class:`CostModel` instead of a guess:
 * ``gate_ns`` — one 1q/2q kernel call on a single statevector;
 * ``copy_ns`` — one statevector copy (the price of reuse);
 * ``batch_overhead_ns`` / ``batch_row_ns`` — the affine cost
-  ``t(B) = overhead + B * row`` of one batched kernel call, solved from
-  measurements at ``B = 1`` and ``B = CALIBRATION_BATCH_ROWS``;
+  ``t(B) = overhead + B * row`` of one kernel call on a ``(B, 2**n)``
+  batch, solved from measurements at ``B = 1`` and
+  ``B = CALIBRATION_BATCH_ROWS`` (a row-looping backend measures
+  ``row ~ gate_ns`` and a small overhead);
 * ``sample_ns`` — one leaf outcome draw.
 
 :meth:`CostModel.plan_seconds` turns a partition plan into predicted wall
-time under either traversal, which is what lets the DCP search, the shard
+time at a given chunk cap, which is what lets the DCP search, the shard
 balancer and the admission logic compare candidate plans in measured
 nanoseconds rather than gate-equivalents.  Models are cached per
 ``(backend, num_qubits)`` in memory and optionally persisted to a JSON
@@ -36,6 +38,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.backends import Backend, get_backend
+from repro.circuits.gate import Gate
 from repro.circuits.stdgates import cx_matrix, h_matrix
 from repro.obs import clock
 
@@ -120,16 +123,15 @@ class CostModel:
         self,
         arities: Sequence[int],
         subcircuit_lengths: Sequence[int],
-        batched: bool = True,
         max_batch: int = 64,
     ) -> float:
         """Predicted wall seconds of one tree traversal of the plan.
 
         Mirrors the engine's execution shape layer by layer: layer ``i``
         runs ``prod(arities[:i+1])`` nodes, each reuse node costs one copy,
-        and — under the batched traversal — siblings execute in chunks of
-        at most ``max_batch`` rows, each gate costing one kernel call at
-        the affine batched rate.  Leaves add one outcome draw each.
+        and siblings execute in chunks of at most ``max_batch`` rows, each
+        gate costing one kernel call at the affine batched rate.  Leaves
+        add one outcome draw each.
         """
         arities = [int(a) for a in arities]
         lengths = [int(length) for length in subcircuit_lengths]
@@ -142,20 +144,16 @@ class CostModel:
         for layer, (arity, length) in enumerate(zip(arities, lengths)):
             parents = nodes
             nodes *= arity
-            if batched:
-                full, rest = divmod(arity, max_batch)
-                per_parent_ns = length * (
-                    full
-                    * (self.batch_overhead_ns + max_batch * self.batch_row_ns)
-                    + (
-                        self.batch_overhead_ns + rest * self.batch_row_ns
-                        if rest
-                        else 0.0
-                    )
+            full, rest = divmod(arity, max_batch)
+            per_parent_ns = length * (
+                full * (self.batch_overhead_ns + max_batch * self.batch_row_ns)
+                + (
+                    self.batch_overhead_ns + rest * self.batch_row_ns
+                    if rest
+                    else 0.0
                 )
-                total_ns += parents * per_parent_ns
-            else:
-                total_ns += nodes * length * self.gate_ns
+            )
+            total_ns += parents * per_parent_ns
             if layer >= 1:
                 total_ns += nodes * self.copy_ns
         total_ns += nodes * self.sample_ns
@@ -169,14 +167,13 @@ class CostModel:
         self,
         arities: Sequence[int],
         subcircuit_lengths: Sequence[int],
-        batched: bool = True,
         max_batch: int = 64,
     ) -> float:
         """Baseline-over-plan wall-time ratio at the plan's own leaf count."""
         leaves = math.prod(int(a) for a in arities)
         total = sum(int(length) for length in subcircuit_lengths)
         return self.baseline_seconds(total, leaves) / self.plan_seconds(
-            arities, subcircuit_lengths, batched=batched, max_batch=max_batch
+            arities, subcircuit_lengths, max_batch=max_batch
         )
 
     # ------------------------------------------------------------------
@@ -251,12 +248,10 @@ def calibrate_cost_model(
     """Measure one backend's primitive costs at the given width.
 
     Times the 1q/2q kernels (an H / CX mix, unitary so the state stays
-    normalised across repeats), the state copy, the leaf outcome draw and —
-    on batch-capable backends — the batched kernel at 1 and
-    ``CALIBRATION_BATCH_ROWS`` rows to solve the affine per-call model.
-    Backends without batch support get the degenerate fit (no overhead,
-    per-row cost = sequential gate cost), so ``plan_seconds(batched=True)``
-    stays meaningful everywhere.
+    normalised across repeats), the state copy, the leaf outcome draw and
+    the batch kernel (:meth:`~repro.backends.base.Backend.apply_gate` on a
+    ``(B, 2**n)`` batch) at 1 and ``CALIBRATION_BATCH_ROWS`` rows to solve
+    the affine per-call model.
     """
     if num_qubits < 1:
         raise ValueError("num_qubits must be >= 1")
@@ -291,29 +286,27 @@ def calibrate_cost_model(
         lambda: resolved.sample_outcome(single, sample_rng), repeats, rounds
     )
 
-    if getattr(resolved, "supports_batch", False):
-        per_call: dict[int, float] = {}
-        for rows in (1, CALIBRATION_BATCH_ROWS):
-            batch = resolved.allocate_batch(num_qubits, rows)
-            resolved.broadcast_into(batch, single)
+    h_gate = Gate("h", (0,), matrix=h)
+    cx_gate = Gate("cx", (0, far), matrix=cx) if far else None
+    per_call: dict[int, float] = {}
+    for rows in (1, CALIBRATION_BATCH_ROWS):
+        batch = resolved.allocate_batch(num_qubits, rows)
+        resolved.broadcast_into(batch, single)
 
-            def one_batched_gate() -> None:
-                resolved.apply_unitary(batch, h, (0,))
-                if far:
-                    resolved.apply_unitary(batch, cx, (0, far))
+        def one_batched_gate() -> None:
+            resolved.apply_gate(batch, h_gate)
+            if cx_gate is not None:
+                resolved.apply_gate(batch, cx_gate)
 
-            per_call[rows] = (
-                _best_ns_per_call(one_batched_gate, repeats, rounds)
-                / calls_per_burst
-            )
-        span = CALIBRATION_BATCH_ROWS - 1
-        batch_row_ns = max(
-            (per_call[CALIBRATION_BATCH_ROWS] - per_call[1]) / span, 1.0
+        per_call[rows] = (
+            _best_ns_per_call(one_batched_gate, repeats, rounds)
+            / calls_per_burst
         )
-        batch_overhead_ns = max(per_call[1] - batch_row_ns, 0.0)
-    else:
-        batch_row_ns = gate_ns
-        batch_overhead_ns = 0.0
+    span = CALIBRATION_BATCH_ROWS - 1
+    batch_row_ns = max(
+        (per_call[CALIBRATION_BATCH_ROWS] - per_call[1]) / span, 1.0
+    )
+    batch_overhead_ns = max(per_call[1] - batch_row_ns, 0.0)
 
     return CostModel(
         backend=resolved.name,

@@ -6,28 +6,23 @@ layer ``i`` copies its parent's intermediate state, applies subcircuit ``i``
 with freshly sampled noise, and hands the resulting state to its ``A_{i+1}``
 children; leaves sample one measurement outcome each.
 
-Two traversals implement that contract:
+One traversal implements that contract on every backend: the ``A_{i+1}``
+sibling subtrees below a reuse node execute *together*.  The parent's state
+is broadcast into a ``(B, 2**n)`` batch (``B`` = the child arity, chunked by
+``max_batch`` to respect the memory budget) and the child subcircuit runs
+once over the whole chunk; at the leaf layer all ``B`` outcomes are drawn in
+one call.  The pool holds one ``(min(A_i, max_batch), 2**n)`` buffer per
+layer, so peak memory is ``sum_i min(A_i, max_batch)`` statevectors;
+``max_batch=1`` gives the paper's Figure-9 footprint of one state per layer.
+How a chunk is advanced is the backend's business: the ``"batched"``
+backend runs one vectorised kernel per gate for all rows, while the
+:class:`~repro.backends.base.Backend` ABC's generic batch surface loops the
+rows through the single-state kernels (``"optimized"``, ``"numpy"``).
 
-* **Sequential** (any backend): states live in a *buffer pool* with exactly
-  one preallocated statevector per tree layer — the Figure-9 memory
-  footprint.  Reuse copies are ``np.copyto`` into the pooled buffer of the
-  child's layer, so with an in-place backend and mixed-unitary noise the
-  steady-state traversal allocates nothing.
-
-* **Batched** (backends with ``supports_batch``, the default when one is
-  configured): the ``A_{i+1}`` sibling subtrees below a reuse node execute
-  *together*.  The parent's pooled state is broadcast into a ``(B, 2**n)``
-  batch (``B`` = the child arity, chunked by ``batch_size`` / ``max_batch``
-  to respect the memory budget) and the child subcircuit runs once through
-  the batched kernels instead of ``A_{i+1}`` sequential passes.  At the leaf
-  layer all ``B`` outcomes are drawn in one batched inverse-CDF pass.  The
-  pool holds one ``(A_i_chunk, 2**n)`` buffer per layer, so peak memory is
-  ``sum_i min(A_i, cap)`` statevectors.
-
-Both traversals produce identical cost counters (``gate_applications``,
-``state_copies``, ``leaf_samples``, ``noise_applications``): a batched kernel
-advancing ``B`` rows counts as ``B`` applications, and a broadcast into ``B``
-rows counts as ``B`` reuse copies.
+Cost counters keep per-trajectory semantics (``gate_applications``,
+``state_copies``, ``leaf_samples``, ``noise_applications``): a kernel call
+advancing ``B`` rows counts as ``B`` applications, and a broadcast into
+``B`` rows counts as ``B`` reuse copies.
 
 Seeding (contract v2)
 ---------------------
@@ -44,14 +39,13 @@ its subcircuit, and — at leaves — the outcome draw plus readout flips.
 
 Two properties follow, and they are the engine's signature guarantees:
 
-* **Traversal independence.**  The sequential and the batched traversal
-  consume each node's stream identically — and because the ``t``-th uniform
-  of a stream is a pure function of ``(key, t)``, the batched kernels
-  generate all per-row uniforms in one vectorised block
-  (:func:`~repro.core.pathrng.draw_block`) that is bitwise identical to the
-  sequential per-row draws.  Counts and counters are therefore *bitwise
-  identical* across traversals, backends and chunk sizes — with or without
-  noise.
+* **Chunking independence.**  Every row of a chunk consumes its own
+  node's stream — and because the ``t``-th uniform of a stream is a pure
+  function of ``(key, t)``, the vectorised kernels generate all per-row
+  uniforms in one block (:func:`~repro.core.pathrng.draw_block`) that is
+  bitwise identical to the per-row scalar draws of the row-looping
+  backends.  Counts and counters are therefore *bitwise identical* across
+  backends and chunk sizes — with or without noise.
 * **Sharding at any depth.**  A run over any set of disjoint subtrees — a
   slice of first-layer nodes, or a slice of the children of any deeper node
   (see :class:`SubtreeAssignment` and :mod:`repro.dispatch`) — reproduces
@@ -78,7 +72,6 @@ from repro.core.partitioners import (
 )
 from repro.core.pathrng import (
     PathStream,
-    all_path_streams,
     child_key,
     child_keys,
     draw_block,
@@ -87,8 +80,8 @@ from repro.core.pathrng import (
 from repro.core.results import CostCounters, SimulationResult
 from repro.core.statecache import (
     DEFAULT_PREFIX_CACHE_BYTES,
+    LRUCache,
     NamespacedStateCache,
-    PrefixStateCache,
 )
 from repro.noise.model import NoiseModel
 from repro.obs import clock
@@ -105,9 +98,9 @@ def _path_label(path: Sequence[int]) -> str:
     """Span-attribute form of a tree path: ``"1/3"``; the root is ``""``."""
     return "/".join(str(component) for component in path)
 
-#: Ceiling on the sibling-chunk size of the batched traversal.  Each layer's
-#: pooled buffer holds ``min(A_i, max_batch)`` statevectors, so this bounds
-#: peak memory at ``num_layers * max_batch`` states regardless of arity.
+#: Ceiling on the sibling-chunk size of the traversal.  Each layer's pooled
+#: buffer holds ``min(A_i, max_batch)`` statevectors, so this bounds peak
+#: memory at ``num_layers * max_batch`` states regardless of arity.
 DEFAULT_MAX_TREE_BATCH = 64
 
 
@@ -233,7 +226,6 @@ class TQSimEngine:
         seed: int | np.random.SeedSequence | None = None,
         backend: str | Backend | None = None,
         copy_cost_in_gates: float = DEFAULT_COPY_COST_IN_GATES,
-        batch_size: int | None = None,
         max_batch: int = DEFAULT_MAX_TREE_BATCH,
         tracer: AnyTracer | None = None,
     ) -> None:
@@ -252,19 +244,12 @@ class TQSimEngine:
             still produce fresh, independent ensembles.  An explicit
             ``SeedSequence`` may be passed (shared-root dispatch); it is
             folded without being mutated.
-        batch_size:
-            Sibling-chunk size of the batched traversal.  ``None`` (default)
-            lets every chunk grow to ``max_batch``; an explicit value caps
-            chunks at ``min(batch_size, max_batch)``.  Requesting a
-            ``batch_size`` implies the ``"batched"`` backend when no backend
-            is named, and raises if the configured backend cannot batch.
-            The traversal is batched whenever the backend supports it.
         max_batch:
-            Hard memory ceiling on the per-layer pooled buffers (in
-            statevectors).  Larger values amortise more Python dispatch per
-            kernel call; smaller values shrink the ``sum_i min(A_i, cap)``
-            statevector footprint toward the sequential engine's one state
-            per layer.
+            Sibling-chunk cap and memory ceiling of the per-layer pooled
+            buffers (in statevectors).  Larger values amortise more Python
+            dispatch per kernel call; smaller values shrink the
+            ``sum_i min(A_i, max_batch)`` statevector footprint, down to one
+            state per layer at ``max_batch=1``.
         tracer:
             Observability hook (see :mod:`repro.obs`).  ``None`` — the
             default — defers to the process-wide tracer from
@@ -273,34 +258,15 @@ class TQSimEngine:
             inert by contract: it never changes counts, counters or RNG
             draws (all clock reads live in :mod:`repro.obs.clock`).
         """
-        if backend is None and batch_size is not None:
-            backend = "batched"
         self.noise_model = noise_model
         self.backend = get_backend(backend)
         self.copy_cost_in_gates = float(copy_cost_in_gates)
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
-        if batch_size is not None:
-            if batch_size < 1:
-                raise ValueError("batch_size must be >= 1")
-            if not self.backend.supports_batch:
-                raise TypeError(
-                    f"backend {self.backend.name!r} cannot run the batched "
-                    "tree traversal (supports_batch is False)"
-                )
-        self.batch_size = None if batch_size is None else int(batch_size)
         self.max_batch = int(max_batch)
         self.tracer = tracer
         self._root_key = root_key_from_seed(seed)
         self._runs_started = 0
-
-    # ------------------------------------------------------------------
-    @property
-    def chunk_cap(self) -> int:
-        """Effective sibling-chunk ceiling of the batched traversal."""
-        if self.batch_size is None:
-            return self.max_batch
-        return min(self.batch_size, self.max_batch)
 
     # ------------------------------------------------------------------
     def run(
@@ -311,7 +277,7 @@ class TQSimEngine:
         plan: PartitionPlan | None = None,
         subtree_keys: Sequence[int] | None = None,
         assignments: Sequence[SubtreeAssignment] | None = None,
-        prefix_cache: PrefixStateCache | NamespacedStateCache | None = None,
+        prefix_cache: LRUCache | NamespacedStateCache | None = None,
     ) -> SimulationResult:
         """Simulate ``circuit`` with computation reuse.
 
@@ -342,7 +308,7 @@ class TQSimEngine:
         prefix_cache:
             Memo of replayed prefix states.  ``None`` (default) gives the
             run a private byte-bounded LRU
-            (:class:`~repro.core.statecache.PrefixStateCache`), so deep
+            (:class:`~repro.core.statecache.LRUCache`), so deep
             splits replay each shared ancestor once without the memo
             growing past ``DEFAULT_PREFIX_CACHE_BYTES``.  Callers may pass
             a longer-lived cache (e.g. the serving layer's cross-request
@@ -425,7 +391,6 @@ class TQSimEngine:
                             "its outcomes"
                         )
 
-        batched = self.backend.supports_batch
         tracer = self.tracer if self.tracer is not None else get_tracer()
         counts: dict[str, int] = {}
         cost = CostCounters()
@@ -434,7 +399,7 @@ class TQSimEngine:
         # same ancestor (deep splits) rebuild it once per run, not once each.
         # Byte-bounded so deep-sharded runs can't pin one state per path.
         if prefix_cache is None:
-            prefix_cache = PrefixStateCache(DEFAULT_PREFIX_CACHE_BYTES)
+            prefix_cache = LRUCache(DEFAULT_PREFIX_CACHE_BYTES)
         start = clock.perf_seconds()
         with (
             tracer.span(
@@ -444,8 +409,7 @@ class TQSimEngine:
                 lengths=[int(length) for length in plan.subcircuit_lengths],
                 backend=self.backend.name,
                 qubits=circuit.num_qubits,
-                batched=batched,
-                chunk_cap=self.chunk_cap if batched else 0,
+                chunk_cap=self.max_batch,
                 full_tree=full_tree,
                 assignments=len(assignments),
             )
@@ -457,31 +421,21 @@ class TQSimEngine:
                 prefix_state = self._replay_prefix(
                     circuit, plan, assignment, cost, prefix_cache, tracer
                 )
-                if batched:
-                    self._run_tree_batched(
-                        circuit, plan, counts, cost, assignment.child_keys,
-                        start_layer=assignment.depth,
-                        parent_state=prefix_state,
-                        tracer=tracer,
-                        entry_path=assignment.path,
-                        child_start=assignment.child_start,
-                    )
-                else:
-                    self._run_tree(
-                        circuit, plan, counts, cost, assignment.child_keys,
-                        start_layer=assignment.depth,
-                        parent_state=prefix_state,
-                        tracer=tracer,
-                        entry_path=assignment.path,
-                        child_start=assignment.child_start,
-                    )
+                self._traverse(
+                    circuit, plan, counts, cost, assignment.child_keys,
+                    start_layer=assignment.depth,
+                    parent_state=prefix_state,
+                    tracer=tracer,
+                    entry_path=assignment.path,
+                    child_start=assignment.child_start,
+                )
             run_span.set(shots=produced)
         cost.wall_time_seconds = clock.perf_seconds() - start
 
         metadata = {
             "simulator": "tqsim",
             "backend": self.backend.name,
-            "execution": "tree-batched" if batched else "tree-sequential",
+            "execution": "tree-batched",
             "policy": plan.policy,
             "tree": str(plan.tree),
             "subcircuit_lengths": plan.subcircuit_lengths,
@@ -491,10 +445,8 @@ class TQSimEngine:
                 self.copy_cost_in_gates
             ),
             "noise_model": self.noise_model.name if self.noise_model else "ideal",
+            "max_batch": self.max_batch,
         }
-        if batched:
-            metadata["chunk_cap"] = self.chunk_cap
-            metadata["max_batch"] = self.max_batch
         return SimulationResult(
             counts=counts,
             num_qubits=circuit.num_qubits,
@@ -510,7 +462,7 @@ class TQSimEngine:
         plan: PartitionPlan,
         assignment: SubtreeAssignment,
         cost: CostCounters,
-        cache: PrefixStateCache | NamespacedStateCache,
+        cache: LRUCache | NamespacedStateCache,
         tracer: AnyTracer = NULL_TRACER,
     ) -> np.ndarray | None:
         """Rebuild the intermediate state of the node at ``assignment.path``.
@@ -567,7 +519,7 @@ class TQSimEngine:
             )
             stream = PathStream(assignment.prefix_keys[layer])
             # The multi-stream path with a single row consumes the stream
-            # exactly as both traversals do, on every backend family.
+            # exactly as the traversal does, on every backend family.
             with (
                 tracer.span(
                     "engine.prefix_replay",
@@ -580,8 +532,8 @@ class TQSimEngine:
                 else NULL_SPAN
             ):
                 state = self._apply_subcircuit(
-                    work, plan.subcircuits[layer], tally, None,
-                    row_rngs=[stream], tracer=tracer,
+                    work, plan.subcircuits[layer], tally, [stream],
+                    tracer=tracer,
                 )
             cache.put(assignment.path[: layer + 1], state)
         return state
@@ -602,141 +554,26 @@ class TQSimEngine:
                 if events:
                     cost.noise_applications += len(events) * weight
 
-    # ------------------------------------------------------------------
-    def _run_tree(
-        self,
-        circuit: Circuit,
-        plan: PartitionPlan,
-        counts: dict[str, int],
-        cost: CostCounters,
-        entry_keys: Sequence[int],
-        start_layer: int = 0,
-        parent_state: np.ndarray | None = None,
-        tracer: AnyTracer = NULL_TRACER,
-        entry_path: tuple[int, ...] = (),
-        child_start: int = 0,
-    ) -> None:
-        """Iterative depth-first traversal over the pooled state buffers.
-
-        Runs the ``len(entry_keys)`` subtrees rooted at ``start_layer``
-        (the whole tree when ``start_layer`` is 0), each keyed by its own
-        path key; deeper nodes derive theirs from the parent's via
-        :func:`~repro.core.pathrng.child_key`.  ``pool[i]`` holds the
-        intermediate state produced by the node of layer ``i`` currently on
-        the traversal path; ``progress[i]`` counts how many of that node's
-        parent's children have already executed.
-
-        ``entry_path`` / ``child_start`` only label spans (the tree path of
-        the assignment node and the child offset of ``entry_keys[0]``);
-        they never influence execution.
-        """
-        backend = self.backend
-        arities = plan.tree.arities
-        num_layers = plan.tree.num_subcircuits
-        subcircuits = plan.subcircuits
-        readout = self.noise_model.readout_error if self.noise_model else None
-        pool: dict[int, np.ndarray] = {
-            layer: backend.allocate_state(circuit.num_qubits)
-            for layer in range(start_layer, num_layers)
-        }
-        progress = [0] * num_layers
-        keys: list[int] = [0] * num_layers
-        traced = tracer.enabled
-        entry_label = _path_label(entry_path)
-        labels: list[str] = [""] * num_layers
-
-        def arity_at(layer: int) -> int:
-            return len(entry_keys) if layer == start_layer else arities[layer]
-
-        layer = start_layer
-        while layer >= start_layer:
-            if progress[layer] == arity_at(layer):
-                # All children of the parent node are done; pop back up.
-                progress[layer] = 0
-                layer -= 1
-                continue
-            index = progress[layer]
-            progress[layer] += 1
-            if layer == start_layer:
-                key = entry_keys[index]
-                node_id = child_start + index
-            else:
-                key = child_key(keys[layer - 1], index)
-                node_id = index
-            if traced:
-                parent_label = (
-                    entry_label if layer == start_layer else labels[layer - 1]
-                )
-                labels[layer] = (
-                    f"{parent_label}/{node_id}" if parent_label
-                    else str(node_id)
-                )
-            if layer == start_layer and parent_state is None:
-                # First-layer nodes start from |0...0> just like the
-                # baseline; resetting the buffer is not a reuse copy.
-                state = backend.reset_state(pool[layer])
-            else:
-                source = (
-                    parent_state if layer == start_layer else pool[layer - 1]
-                )
-                with (
-                    tracer.span("engine.copy", path=labels[layer],
-                                layer=layer, rows=1)
-                    if traced
-                    else NULL_SPAN
-                ):
-                    state = backend.copy_into(pool[layer], source)
-                cost.state_copies += 1
-            keys[layer] = key
-            rng = PathStream(key)
-            with (
-                tracer.span("engine.subcircuit", path=labels[layer],
-                            layer=layer, gates=len(subcircuits[layer]), rows=1)
-                if traced
-                else NULL_SPAN
-            ):
-                state = self._apply_subcircuit(
-                    state, subcircuits[layer], cost, rng, tracer=tracer
-                )
-            # Rebind in case the backend works out of place; in-place
-            # backends return the pooled buffer itself.
-            pool[layer] = state
-            if layer == num_layers - 1:
-                with (
-                    tracer.span("engine.leaf_sample", path=labels[layer],
-                                rows=1)
-                    if traced
-                    else NULL_SPAN
-                ):
-                    bitstring = backend.sample_outcome(state, rng, readout)
-                counts[bitstring] = counts.get(bitstring, 0) + 1
-                cost.leaf_samples += 1
-            else:
-                layer += 1
-
     def _apply_subcircuit(
         self,
         state: np.ndarray,
         subcircuit: Circuit,
         cost: CostCounters,
-        rng: PathStream | np.random.Generator | None,
+        row_rngs: Sequence[PathStream],
         weight: int = 1,
-        row_rngs: Sequence[PathStream] | None = None,
         tracer: AnyTracer = NULL_TRACER,
     ) -> np.ndarray:
         """Apply one subcircuit with freshly sampled trajectory noise.
 
-        ``state`` may be a single statevector or a ``(B, 2**n)`` chunk of
-        sibling trajectories (on a batch-capable backend); ``weight`` is the
+        ``state`` is a single statevector (one prefix node) or a
+        ``(B, 2**n)`` chunk of sibling trajectories; ``weight`` is the
         number of trajectories one kernel call advances, so cost counters
-        keep per-trajectory semantics and both traversals account
-        identically.  Noise draws come from ``rng``, or — when ``row_rngs``
-        is given (batched chunks, whose rows are distinct tree nodes) —
-        from each row's own stream.
+        keep per-trajectory semantics.  Row ``i`` draws its noise from
+        ``row_rngs[i]``, its own tree node's stream.
 
-        When every noise event of the subcircuit is mixed-unitary and the
-        rows carry path-keyed counter streams, all of the chunk's noise
-        uniforms are pre-drawn in *one* block: each event consumes exactly
+        When the backend takes pre-drawn uniforms and every noise event of
+        the subcircuit is mixed-unitary, all of the chunk's noise uniforms
+        are pre-drawn in *one* block: each event consumes exactly
         one uniform per row, so the counters advance in lockstep and column
         ``j`` of the block is bitwise identical to the ``j``-th per-event
         draw the generic path performs.  That turns ~one ``draw_block`` call
@@ -746,10 +583,10 @@ class TQSimEngine:
         # Kernel-level spans sit behind the tracer's sampling knob; the
         # common (disabled) case costs one attribute lookup per subcircuit.
         kernel_interval = tracer.kernel_interval
-        if row_rngs is not None and self.noise_model is not None:
+        if self.noise_model is not None:
             apply_uniforms = getattr(backend, "apply_noise_events_uniforms",
                                      None)
-            if apply_uniforms is not None and all_path_streams(row_rngs):
+            if apply_uniforms is not None:
                 gate_events = [
                     self.noise_model.events_for_gate(gate)
                     for gate in subcircuit
@@ -800,17 +637,14 @@ class TQSimEngine:
                 # the cost accounting.
                 events = self.noise_model.events_for_gate(gate)
                 if events:
-                    if row_rngs is None:
-                        state = backend.apply_noise_events(state, events, rng)
-                    else:
-                        state = backend.apply_noise_events_multi(
-                            state, events, row_rngs
-                        )
+                    state = backend.apply_noise_events_multi(
+                        state, events, row_rngs
+                    )
                     cost.noise_applications += len(events) * weight
         return state
 
     # ------------------------------------------------------------------
-    def _run_tree_batched(
+    def _traverse(
         self,
         circuit: Circuit,
         plan: PartitionPlan,
@@ -823,7 +657,7 @@ class TQSimEngine:
         entry_path: tuple[int, ...] = (),
         child_start: int = 0,
     ) -> None:
-        """Depth-first traversal over chunks of sibling subtrees.
+        """Iterative depth-first traversal over chunks of sibling subtrees.
 
         Runs the ``len(entry_keys)`` subtrees rooted at ``start_layer``
         (the whole tree when ``start_layer`` is 0).  ``pool[i]`` is a
@@ -832,18 +666,17 @@ class TQSimEngine:
         siblings of the current parent not yet simulated, ``cursor`` the
         child index the next chunk starts at, ``loaded`` the rows of the
         live chunk, and ``expanded`` how many of those rows have already had
-        their own subtrees executed.  A chunk is simulated with one batched
+        their own subtrees executed.  A chunk is simulated with one backend
         kernel call per gate; leaf chunks sample all their outcomes in one
-        batched call and are consumed immediately, while interior chunks are
+        call and are consumed immediately, while interior chunks are
         expanded row by row before the next sibling chunk overwrites the
         buffer.
 
         Random streams: every row of a chunk is its own tree node with its
         own :class:`~repro.core.pathrng.PathStream` (``entry_keys`` at the
         entry layer, the vectorised :func:`~repro.core.pathrng.child_keys`
-        chain below), so the per-row multi-stream backend paths draw all
-        rows' uniforms in one block while the operator application stays
-        vectorised.  Draws therefore depend only on a node's path — never on
+        chain below), consumed through the backends' per-row multi-stream
+        hooks.  Draws therefore depend only on a node's path — never on
         the chunk cap, the arity of sibling layers, or how nodes were
         grouped into batches — which is what makes both the chunking and any
         sharding of the tree bitwise reproducible.
@@ -853,7 +686,7 @@ class TQSimEngine:
         num_layers = plan.tree.num_subcircuits
         subcircuits = plan.subcircuits
         readout = self.noise_model.readout_error if self.noise_model else None
-        cap = self.chunk_cap
+        cap = self.max_batch
 
         def arity_at(layer: int) -> int:
             return len(entry_keys) if layer == start_layer else arities[layer]
@@ -951,13 +784,13 @@ class TQSimEngine:
                 else NULL_SPAN
             ):
                 state = self._apply_subcircuit(
-                    batch, subcircuits[layer], cost, None,
-                    weight=chunk, row_rngs=row_rngs, tracer=tracer,
+                    batch, subcircuits[layer], cost, row_rngs,
+                    weight=chunk, tracer=tracer,
                 )
             if state is not batch:
-                # Honour the mutation contract for out-of-place batch
-                # backends: leaves are sampled from, and children expanded
-                # out of, the pooled buffer, so the result must land in it.
+                # Honour the mutation contract for out-of-place backends:
+                # leaves are sampled from, and children expanded out of,
+                # the pooled buffer, so the result must land in it.
                 np.copyto(batch, state)
             cursor[layer] = base + chunk
             pending[layer] -= chunk

@@ -22,7 +22,7 @@ initialisation).  Two properties carry the whole design:
   a batched kernel can produce the next uniform of *B* different node
   streams in one array expression (:func:`draw_block`) instead of looping
   over per-row ``Generator`` objects — the scalar-draw loops were what cost
-  the batched traversal its 4.8x speedup in v5.
+  the vectorised kernels their 4.8x speedup in v5.
 
 :class:`PathStream` wraps one ``(key, counter)`` pair behind the
 ``Generator.random(size)`` signature, so every existing consumption site
@@ -175,8 +175,8 @@ def child_key(parent_key: int, index: int) -> int:
 def child_keys(parent_key: int, start: int, count: int) -> np.ndarray:
     """Keys of children ``start .. start+count-1``, as one uint64 array.
 
-    Vectorised form of :func:`child_key` for the batched traversal's chunk
-    setup; ``child_keys(p, s, c)[i] == child_key(p, s + i)`` bitwise.
+    Vectorised form of :func:`child_key` for the traversal's chunk setup;
+    ``child_keys(p, s, c)[i] == child_key(p, s + i)`` bitwise.
     """
     indices = np.arange(start, start + count, dtype=_U64)
     with np.errstate(over="ignore"):
@@ -204,7 +204,7 @@ class PathStream:
     ``random(shape)`` for readout-flip blocks — so it passes through every
     existing sampling helper unchanged.  Scalar draws, shaped draws and
     :func:`draw_block` all advance the counter identically, which is what
-    keeps sequential and batched traversals bitwise interchangeable.
+    keeps row-looping and vectorised backends bitwise interchangeable.
     """
 
     __slots__ = ("key", "counter")

@@ -39,8 +39,8 @@ class CostCounters:
     def matches(self, other: "CostCounters") -> bool:
         """True when every accounted counter equals ``other``'s.
 
-        Wall time is excluded: two executions of the same plan (e.g. the
-        sequential and the batched tree traversal) must do identical
+        Wall time is excluded: two executions of the same plan (e.g. on a
+        row-looping and on a vectorised backend) must do identical
         accounted work while taking different amounts of it.
         """
         return all(

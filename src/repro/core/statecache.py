@@ -1,22 +1,24 @@
-"""Byte-bounded LRU caches for replayed/memoised statevectors.
+"""Size-bounded LRU caches: replayed statevectors, plans, fused circuits.
 
 The engine's prefix replay (:meth:`~repro.core.engine.TQSimEngine.
 _replay_prefix`) memoises rebuilt intermediate states so assignments sharing
-an ancestor replay it once.  Before this module that memo was a bare dict:
-unbounded, invisible to the :mod:`repro.analysis.memory` admission model,
-and confined to one ``run()`` call.  :class:`PrefixStateCache` replaces it
-with a byte-bounded LRU that
+an ancestor replay it once, and the serving layer (:mod:`repro.serve.cache`)
+memoises plans, fused circuits and noiseless prefix states across requests.
+:class:`LRUCache` serves all of them: a least-recently-used cache bounded by
+the summed *size* of its entries, where a size function says what an entry
+weighs — statevector bytes (``nbytes``, the default) or one per entry for
+small pure-Python objects.  It
 
-* **caps resident bytes** — inserts evict least-recently-used entries until
+* **caps resident size** — inserts evict least-recently-used entries until
   the configured budget holds (an entry larger than the whole budget is
   rejected outright rather than evicting everything for nothing);
 * **counts hits / misses / evictions** (:class:`CacheStats`) so callers can
   surface cache behaviour as obs counters;
 * **is shareable** — a lock makes ``get``/``put`` safe from the serving
-  layer's worker threads, and :meth:`PrefixStateCache.namespaced` returns a
+  layer's worker threads, and :meth:`LRUCache.namespaced` returns a
   keyspace view (key prefix + optional key transform) that lets one
   cross-request cache hold entries for many circuits, keyed by
-  ``(circuit-hash, ..., path)`` (see :mod:`repro.serve.cache`).
+  ``(circuit-hash, ..., path)``.
 
 Entries are immutable by convention: the engine never evolves a cached
 state in place (it copies first), so sharing references across runs,
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Hashable
 
 import numpy as np
@@ -37,8 +39,10 @@ import numpy as np
 __all__ = [
     "CacheStats",
     "DEFAULT_PREFIX_CACHE_BYTES",
+    "LRUCache",
     "NamespacedStateCache",
-    "PrefixStateCache",
+    "one_per_entry",
+    "state_nbytes",
 ]
 
 #: Default byte budget of a per-run prefix cache: generous for the widths
@@ -68,37 +72,48 @@ class CacheStats:
         }
 
 
-@dataclass
-class _Entry:
-    value: np.ndarray
-    nbytes: int = field(default=0)
+def state_nbytes(value: Any) -> int:
+    """Size of an array entry: its resident bytes."""
+    return int(value.nbytes)
 
 
-class PrefixStateCache:
-    """A byte-bounded, thread-safe LRU cache of statevector arrays.
+def one_per_entry(value: Any) -> int:
+    """Size of an entry in a count-bounded cache."""
+    return 1
+
+
+class LRUCache:
+    """A size-bounded, thread-safe LRU cache.
 
     Parameters
     ----------
-    max_bytes:
-        Resident-byte budget.  ``None`` disables the bound (the pre-fix
-        behaviour, kept for callers that manage lifetime themselves).
+    max_size:
+        Budget on the summed size of resident entries, in the units of
+        ``size``.  ``None`` disables the bound.
+    size:
+        Weight of one entry: :func:`state_nbytes` (default) bounds resident
+        bytes; :func:`one_per_entry` bounds the entry count.
     """
 
-    def __init__(self, max_bytes: int | None = DEFAULT_PREFIX_CACHE_BYTES
-                 ) -> None:
-        if max_bytes is not None and max_bytes < 0:
-            raise ValueError("max_bytes must be >= 0 (or None for unbounded)")
-        self.max_bytes = max_bytes
+    def __init__(
+        self,
+        max_size: int | None = DEFAULT_PREFIX_CACHE_BYTES,
+        size: Callable[[Any], int] = state_nbytes,
+    ) -> None:
+        if max_size is not None and max_size < 0:
+            raise ValueError("max_size must be >= 0 (or None for unbounded)")
+        self.max_size = max_size
+        self.size = size
         self.stats = CacheStats()
-        self._entries: OrderedDict[Hashable, _Entry] = OrderedDict()
-        self._current_bytes = 0
+        self._entries: OrderedDict[Hashable, tuple[Any, int]] = OrderedDict()
+        self._current_size = 0
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
     @property
-    def current_bytes(self) -> int:
-        """Bytes currently resident."""
-        return self._current_bytes
+    def current_size(self) -> int:
+        """Summed size of the resident entries."""
+        return self._current_size
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -107,8 +122,8 @@ class PrefixStateCache:
         return key in self._entries
 
     # ------------------------------------------------------------------
-    def get(self, key: Hashable) -> np.ndarray | None:
-        """The cached state for ``key`` (marked most-recently-used), or None."""
+    def get(self, key: Hashable) -> Any | None:
+        """The cached value for ``key`` (marked most-recently-used), or None."""
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
@@ -116,30 +131,30 @@ class PrefixStateCache:
                 return None
             self._entries.move_to_end(key)
             self.stats.hits += 1
-            return entry.value
+            return entry[0]
 
-    def put(self, key: Hashable, state: np.ndarray) -> bool:
-        """Insert ``state`` under ``key``, evicting LRU entries to fit.
+    def put(self, key: Hashable, value: Any) -> bool:
+        """Insert ``value`` under ``key``, evicting LRU entries to fit.
 
         Returns False (and counts a rejection) when the entry alone exceeds
-        the byte budget — caching it would evict everything else for a
+        the budget — caching it would evict everything else for a
         single-use resident.  Re-putting an existing key replaces the entry.
         """
-        nbytes = int(state.nbytes)
+        weight = self.size(value)
         with self._lock:
-            if self.max_bytes is not None and nbytes > self.max_bytes:
+            if self.max_size is not None and weight > self.max_size:
                 self.stats.rejected += 1
                 return False
             previous = self._entries.pop(key, None)
             if previous is not None:
-                self._current_bytes -= previous.nbytes
-            self._entries[key] = _Entry(state, nbytes)
-            self._current_bytes += nbytes
+                self._current_size -= previous[1]
+            self._entries[key] = (value, weight)
+            self._current_size += weight
             self.stats.puts += 1
-            if self.max_bytes is not None:
-                while self._current_bytes > self.max_bytes and self._entries:
-                    _, evicted = self._entries.popitem(last=False)
-                    self._current_bytes -= evicted.nbytes
+            if self.max_size is not None:
+                while self._current_size > self.max_size and self._entries:
+                    _, (_, evicted) = self._entries.popitem(last=False)
+                    self._current_size -= evicted
                     self.stats.evictions += 1
             return True
 
@@ -147,7 +162,7 @@ class PrefixStateCache:
         """Drop every entry (stats are preserved)."""
         with self._lock:
             self._entries.clear()
-            self._current_bytes = 0
+            self._current_size = 0
 
     # ------------------------------------------------------------------
     def namespaced(
@@ -168,21 +183,21 @@ class PrefixStateCache:
         return NamespacedStateCache(self, prefix, key_fn)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        bound = "unbounded" if self.max_bytes is None else f"{self.max_bytes}B"
+        bound = "unbounded" if self.max_size is None else str(self.max_size)
         return (
-            f"<PrefixStateCache {len(self._entries)} entries, "
-            f"{self._current_bytes}B resident, {bound}>"
+            f"<LRUCache {len(self._entries)} entries, "
+            f"size {self._current_size} of {bound}>"
         )
 
 
 class NamespacedStateCache:
-    """A keyspace view over a shared :class:`PrefixStateCache`."""
+    """A keyspace view over a shared :class:`LRUCache`."""
 
     __slots__ = ("parent", "prefix", "key_fn")
 
     def __init__(
         self,
-        parent: PrefixStateCache,
+        parent: LRUCache,
         prefix: tuple[Hashable, ...],
         key_fn: Callable[[Any], Hashable] | None = None,
     ) -> None:

@@ -153,7 +153,6 @@ class ResilientPoolDispatcher(PoolDispatcher):
         num_shards: int | None = None,
         backend: str = "batched",
         copy_cost_in_gates: float = DEFAULT_COPY_COST_IN_GATES,
-        batch_size: int | None = None,
         max_batch: int = DEFAULT_MAX_TREE_BATCH,
         max_depth: int = 1,
         cost_model: CostModel | None = None,
@@ -210,7 +209,6 @@ class ResilientPoolDispatcher(PoolDispatcher):
             num_shards=num_shards,
             backend=backend,
             copy_cost_in_gates=copy_cost_in_gates,
-            batch_size=batch_size,
             max_batch=max_batch,
             max_depth=max_depth,
             cost_model=cost_model,

@@ -133,9 +133,9 @@ class ComparisonRow:
 
     When the comparison also ran the batched tree engine (see
     :func:`compare_simulators` with ``include_batched_tree=True``) the
-    ``batched_*`` fields hold the same plan executed through the batched
-    sibling-subtree traversal; ``batched_tree_speedup`` is the measured
-    wall-clock ratio of the sequential tree over the batched tree.
+    ``batched_*`` fields hold the same plan executed on the vectorised
+    ``batched`` backend; ``batched_tree_speedup`` is the measured
+    wall-clock ratio of the configured backend's run over the batched one.
     """
 
     name: str
@@ -165,7 +165,7 @@ class ComparisonRow:
 
     @property
     def batched_counters_match(self) -> bool | None:
-        """True when the batched tree's cost counters equal the sequential's.
+        """True when the two backends' cost counters are equal.
 
         Wall time is excluded — the whole point is that the same accounted
         work takes less of it.  ``None`` when the batched leg did not run.
@@ -223,7 +223,7 @@ def fuse_for_noise_model(circuit: Circuit,
 
 @dataclass(frozen=True)
 class BatchedTreeMeasurement:
-    """Measured batched-tree vs sequential-tree execution of one plan.
+    """Measured vectorised vs row-looping execution of one plan.
 
     Both engines execute the *same* plan with the same seed, so their cost
     counters must be identical and, without noise, their counts bitwise
@@ -240,7 +240,7 @@ class BatchedTreeMeasurement:
 
     @property
     def batched_tree_speedup(self) -> float:
-        """Measured wall-clock ratio: sequential tree over batched tree."""
+        """Measured wall-clock ratio: row-looping over vectorised kernels."""
         return self.sequential_seconds / self.batched_seconds
 
 
@@ -250,17 +250,15 @@ def measure_batched_tree(
     config: ExperimentConfig,
     plan,
 ) -> BatchedTreeMeasurement:
-    """Time the sequential vs batched tree engine on one shared plan.
+    """Time the engine on the row-looping vs vectorised backend, one plan.
 
     The caller picks the plan shape (high-arity plans show the largest
     batching wins); this helper owns the timing methodology so every figure
-    measures the two traversals the same way.
+    measures the two backends the same way.
     """
-    # The comparison isolates *batching*: the sequential leg is pinned to
-    # "optimized" — the kernel family the batched backend extends — so the
-    # ratio never conflates batching with a kernel-family difference (and a
-    # batch-capable configured backend cannot silently turn this into a
-    # batched-vs-batched measurement).
+    # The comparison isolates *batching*: the row-looping leg is pinned to
+    # "optimized" — the kernel family the batched backend vectorises — so
+    # the ratio never conflates batching with a kernel-family difference.
     sequential = TQSimEngine(
         noise_model, seed=config.seed + 1, backend="optimized",
         copy_cost_in_gates=config.copy_cost_in_gates,

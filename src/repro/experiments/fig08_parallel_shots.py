@@ -10,8 +10,10 @@ the NumPy substrate two ways:
 
 * **batch-parallel** — the ``batched`` backend stacks B trajectories as a
   ``(B, 2**n)`` array so one kernel call advances all of them, and the sweep
-  times :class:`~repro.core.batched.BatchedTrajectorySimulator` against the
-  per-shot :class:`~repro.core.baseline.BaselineNoisySimulator` over a
+  times the engine on a no-reuse
+  :class:`~repro.core.partitioners.SingleShotPartitioner` plan with
+  ``max_batch=B`` against the per-shot
+  :class:`~repro.core.baseline.BaselineNoisySimulator` over a
   (num_qubits, B) grid on a benchmark circuit;
 * **process-parallel** — the :mod:`repro.dispatch` subsystem shards a
   single-layer (no-reuse) plan across worker processes, the literal
@@ -23,11 +25,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.analysis.devices import A100
 from repro.analysis.parallel_shots import ParallelShotPoint, parallel_shot_sweep
 from repro.circuits.library import qft_circuit
-from repro.core.backends import A100
 from repro.core.baseline import BaselineNoisySimulator
-from repro.core.batched import BatchedTrajectorySimulator
+from repro.core.engine import TQSimEngine
 from repro.core.partitioners import SingleShotPartitioner
 from repro.experiments.common import (
     DEFAULT_CONFIG,
@@ -123,8 +125,10 @@ def measured_batch_sweep(
 ) -> list[MeasuredBatchPoint]:
     """Time batched vs per-shot trajectory execution over a (width, B) grid.
 
-    Each timing is the best of ``repeats`` runs (the simulators record their
-    own wall time), which keeps the sweep robust to scheduling noise without
+    The batched side is the engine on a single-layer (no-reuse) plan with
+    ``max_batch=B``: B first-layer trajectories per kernel call.  Each
+    timing is the best of ``repeats`` runs (the simulators record their own
+    wall time), which keeps the sweep robust to scheduling noise without
     inflating its cost.
     """
     noise_model = depolarizing_noise_model()
@@ -137,6 +141,7 @@ def measured_batch_sweep(
     points: list[MeasuredBatchPoint] = []
     for width in sweep_widths:
         circuit = qft_circuit(width)
+        plan = SingleShotPartitioner().plan(circuit, shots, noise_model)
         # The per-shot side runs on the optimized backend — the same kernel
         # family the batched backend vectorises — so the measured ratio
         # isolates the batching effect rather than kernel differences
@@ -149,9 +154,10 @@ def measured_batch_sweep(
         )
         for batch_size in batch_sizes:
             batched_seconds = min(
-                BatchedTrajectorySimulator(
-                    noise_model, seed=config.seed, batch_size=batch_size
-                ).run(circuit, shots).cost.wall_time_seconds
+                TQSimEngine(
+                    noise_model, seed=config.seed, backend="batched",
+                    max_batch=batch_size,
+                ).run(circuit, shots, plan=plan).cost.wall_time_seconds
                 for _ in range(repeats)
             )
             points.append(

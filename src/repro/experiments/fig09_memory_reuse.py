@@ -11,8 +11,8 @@ width also reports the largest ``max_batch`` whose ``sum_i min(A_i, cap)``
 pooled statevectors still fit half the node, i.e. how far the sibling fan-out
 can be batched before hitting the Figure-9 budget.  A small measured point
 (at a width the harness can actually simulate) runs the identical plan shape
-through the sequential and the batched tree engine to show the batching win
-is real, with matching cost counters.
+through the engine on the row-looping and the vectorised backend to show the
+batching win is real, with matching cost counters.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ class MemoryReuseResult:
 
     points: list[MemoryReusePoint]
     shots: int
-    #: Sequential vs batched tree engine on one feasible-width BV plan.
+    #: Row-looping vs vectorised backend on one feasible-width BV plan.
     measured: BatchedTreeMeasurement
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.backends import DEVICE_PROFILES
+from repro.analysis.devices import DEVICE_PROFILES
 from repro.core.copycost import (
     CopyCostProfile,
     MODELED_SYSTEM_COPY_COSTS,

@@ -81,7 +81,7 @@ class SuiteSweepResult:
 
     @property
     def average_batched_tree_speedup(self) -> float:
-        """Mean measured batched-tree speedup over the sequential tree."""
+        """Mean measured batched-tree speedup over the row-looping tree."""
         return geometric_mean(
             [row.batched_tree_speedup for row in self.batched_rows]
         )
@@ -112,7 +112,7 @@ class SuiteSweepResult:
 
     @property
     def max_batched_tree_speedup(self) -> float:
-        """Best measured batched-tree speedup over the sequential tree."""
+        """Best measured batched-tree speedup over the row-looping tree."""
         return max(row.batched_tree_speedup for row in self.batched_rows)
 
     def table(self) -> list[dict]:
@@ -150,7 +150,7 @@ def run(config: ExperimentConfig = DEFAULT_CONFIG) -> SuiteSweepResult:
     (``ComparisonRow.calibrated_*``) — the cost-model-priced plan search
     executed on the batched engine, with the measured analytic-vs-calibrated
     wall-time ratio — and ``batched_rows`` holds the dedicated high-arity
-    measurement of the batched vs sequential traversal.  Calibration runs at
+    measurement of the vectorised vs row-looping backend.  Calibration runs at
     most once per circuit width (the per-process cost-model cache).
     """
     noise_model = depolarizing_noise_model()

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.analysis.devices import A100, V100, DeviceProfile
 from repro.circuits.library.suite import benchmark_suite
-from repro.core.backends import A100, V100, DeviceProfile
 from repro.experiments.common import DEFAULT_CONFIG, ExperimentConfig, compare_simulators
 from repro.metrics.statistics import geometric_mean
 from repro.noise.sycamore import depolarizing_noise_model

@@ -8,7 +8,7 @@ unused by the CLI — so this list can only shrink or stay honest.
 
 Grounds for exemption, in the order the rules list them:
 
-* **Baseline simulators** (``core/baseline.py``, ``core/batched.py``,
+* **Baseline simulators** (``core/baseline.py``,
   ``statevector/simulator.py``, ``density/simulator.py``) deliberately draw
   from seeded ``numpy`` ``Generator`` streams: they are the *comparison
   anchors* the tree engine is validated against, not participants in the
@@ -85,11 +85,6 @@ DEFAULT_ALLOWLIST: tuple[AllowlistEntry, ...] = (
         "det-rng", "*core/baseline.py", _RNG,
         "per-shot baseline simulator: the seeded Generator stream is the "
         "paper's reference execution, outside the path-keyed tree contract",
-    ),
-    AllowlistEntry(
-        "det-rng", "*core/batched.py", _RNG,
-        "batched per-shot baseline simulator: seeded Generator stream, a "
-        "comparison anchor outside the path-keyed tree contract",
     ),
     AllowlistEntry(
         "det-rng", "*statevector/simulator.py", _RNG,

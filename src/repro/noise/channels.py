@@ -134,19 +134,6 @@ class KrausChannel:
             self._build_mixture_caches()
         return inverse_cdf_index(self._mixture_cumulative, rng)
 
-    def sample_mixture_indices(
-        self, rng: np.random.Generator, size: int
-    ) -> np.ndarray:
-        """Draw ``size`` independent mixture branch indices in one call.
-
-        The vectorised counterpart of :meth:`sample_mixture_index`, used by
-        the batched-trajectory backend to sample one branch per trajectory
-        with a single uniform draw and a single ``searchsorted``.
-        """
-        if self._mixture_cumulative is None:
-            self._build_mixture_caches()
-        return self.mixture_indices_from_uniforms(rng.random(size))
-
     def mixture_indices_from_uniforms(
         self, uniforms: np.ndarray
     ) -> np.ndarray:

@@ -7,6 +7,28 @@ under the dotted names below, and the old metadata keys are rebuilt from
 those counters by the view helpers — so downstream readers (experiments,
 tests, the fig10 fault-injection sweeps) keep working unchanged while
 traced runs see the same numbers as ``tracer.metrics`` counters.
+
+Engine spans
+------------
+:class:`~repro.core.engine.TQSimEngine` has one tree traversal, which
+advances a chunk of sibling nodes per call; its spans name the *parent*
+node by tree path (the virtual root is ``""``, first-layer node 3 is
+``"3"``, its child 1 is ``"3/1"``) and the chunk by its first child and
+row count:
+
+=========================  ==================================================
+span                       attributes
+=========================  ==================================================
+``engine.run``             ``tree``, ``arities``, ``lengths``, ``backend``,
+                           ``qubits``, ``chunk_cap``, ``full_tree``,
+                           ``assignments``, ``shots``
+``engine.subcircuit``      parent ``path``, ``layer``, ``gates``, ``rows``,
+                           ``first_child``
+``engine.copy``            parent ``path``, ``layer``, ``rows``
+``engine.leaf_sample``     parent ``path``, ``rows``
+``engine.noise_predraw``   ``rows``, ``draws``
+``engine.prefix_replay``   node ``path``, ``layer``, ``gates``, ``counted``
+=========================  ==================================================
 """
 
 from __future__ import annotations

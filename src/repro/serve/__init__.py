@@ -4,7 +4,7 @@ See :mod:`repro.serve.server` for the request pipeline and
 :mod:`repro.serve.replay` for the heavy-traffic benchmark harness.
 """
 
-from repro.serve.cache import LRUCache, ServeCaches
+from repro.serve.cache import ServeCaches
 from repro.serve.replay import ReplayReport, build_request_mix, run_replay
 from repro.serve.server import (
     SimulationRequest,
@@ -14,7 +14,6 @@ from repro.serve.server import (
 )
 
 __all__ = [
-    "LRUCache",
     "ReplayReport",
     "ServeCaches",
     "SimulationRequest",

@@ -11,8 +11,7 @@ cosmetically different but semantically equal submissions share entries:
 * **plan** — DCP partition plans keyed by ``(fused-hash, shots,
   noise, backend)``.  The plan search is pure and (in calibrated mode)
   the most expensive non-simulation work a request triggers.
-* **prefix states** — noiseless intermediate statevectors in one shared
-  byte-bounded :class:`~repro.core.statecache.PrefixStateCache`, keyed by
+* **prefix states** — noiseless intermediate statevectors keyed by
   ``(fused-hash, subcircuit-lengths, depth)``.  Under a trivial noise
   model the state after ``d`` subcircuits is *path-independent* (every
   tree node of one layer holds the same amplitudes), so one entry per
@@ -20,85 +19,42 @@ cosmetically different but semantically equal submissions share entries:
   skip the tree entirely and go straight to leaf sampling
   (:meth:`~repro.serve.server.SimulationServer`).
 
-Entry-count caches (:class:`LRUCache`) guard the small pure-Python
-objects; the statevector cache is byte-bounded because its entries are
-the actual memory hazard.  Every cache keeps hit/miss/eviction stats
+All three are :class:`~repro.core.statecache.LRUCache` instances: the plan
+and transpile caches bound their entry count (small pure-Python objects),
+the statevector cache its resident bytes, because its entries are the
+actual memory hazard.  Every cache keeps hit/miss/eviction stats
 (:class:`~repro.core.statecache.CacheStats`); the server flushes deltas
 onto ``serve.cache.*`` obs counters per request.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Hashable
 
 from repro.core.statecache import (
-    CacheStats,
+    LRUCache,
     NamespacedStateCache,
-    PrefixStateCache,
+    one_per_entry,
 )
 
-__all__ = ["LRUCache", "ServeCaches", "DEFAULT_STATE_CACHE_BYTES"]
+__all__ = ["ServeCaches", "DEFAULT_STATE_CACHE_BYTES"]
 
 #: Default budget of the shared cross-request statevector cache.
 DEFAULT_STATE_CACHE_BYTES = 512 * 1024 * 1024
-
-
-class LRUCache:
-    """A thread-safe, entry-count-bounded LRU cache with stats.
-
-    The value-agnostic companion of
-    :class:`~repro.core.statecache.PrefixStateCache`: plans and fused
-    circuits are small pure-Python objects, so bounding the *count* is
-    enough.  ``get`` returns ``None`` on a miss (values are never None).
-    """
-
-    def __init__(self, max_entries: int = 128) -> None:
-        if max_entries < 1:
-            raise ValueError("max_entries must be >= 1")
-        self.max_entries = max_entries
-        self.stats = CacheStats()
-        self._entries: OrderedDict[Hashable, Any] = OrderedDict()
-        self._lock = threading.Lock()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def get(self, key: Hashable) -> Any | None:
-        with self._lock:
-            if key not in self._entries:
-                self.stats.misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self.stats.hits += 1
-            return self._entries[key]
-
-    def put(self, key: Hashable, value: Any) -> None:
-        with self._lock:
-            self._entries.pop(key, None)
-            self._entries[key] = value
-            self.stats.puts += 1
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
-                self.stats.evictions += 1
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
 
 
 @dataclass
 class ServeCaches:
     """The server's three cross-request caches plus stat-flush bookkeeping."""
 
-    plan: LRUCache = field(default_factory=lambda: LRUCache(max_entries=256))
-    transpile: LRUCache = field(
-        default_factory=lambda: LRUCache(max_entries=256)
+    plan: LRUCache = field(
+        default_factory=lambda: LRUCache(256, size=one_per_entry)
     )
-    prefix: PrefixStateCache = field(
-        default_factory=lambda: PrefixStateCache(DEFAULT_STATE_CACHE_BYTES)
+    transpile: LRUCache = field(
+        default_factory=lambda: LRUCache(256, size=one_per_entry)
+    )
+    prefix: LRUCache = field(
+        default_factory=lambda: LRUCache(DEFAULT_STATE_CACHE_BYTES)
     )
     #: Stats already flushed onto obs counters, per cache name.
     _flushed: dict[str, dict[str, int]] = field(default_factory=dict)

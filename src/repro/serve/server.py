@@ -114,8 +114,8 @@ class SimulationRequest:
     #: Root seed of the trajectory ensemble; responses are a pure function
     #: of ``(circuit, noise, shots, seed)``.
     seed: int = 0
-    #: Backend registry name; ``None`` lets admission pick
-    #: ``"batched"``/``"optimized"``.
+    #: Backend registry name; ``None`` runs the vectorised ``"batched"``
+    #: backend.
     backend: str | None = None
 
     def resolve_circuit(self) -> Circuit:
@@ -173,7 +173,6 @@ def _admission_dict(decision: AdmissionDecision) -> dict[str, Any]:
         "fits_memory": decision.fits_memory,
         "max_batch": decision.max_batch,
         "peak_bytes": decision.peak_bytes,
-        "use_batched": decision.use_batched,
         "reason": decision.reason,
     }
 
@@ -197,7 +196,7 @@ class SimulationServer:
         Budgets of the three cross-request caches.
     cost_model:
         Calibrated :class:`~repro.core.costmodel.CostModel` for admission's
-        traversal pick and the pool's shard sizing.
+        wall-time prediction and the pool's shard sizing.
     tracer:
         When given (and enabled), each request records spans into its own
         :class:`~repro.obs.tracer.Tracer` (tracers are not thread-safe)
@@ -229,9 +228,9 @@ class SimulationServer:
         self.cost_model = cost_model
         self.tracer: AnyTracer = tracer if tracer is not None else NullTracer()
         self.caches = ServeCaches()
-        self.caches.prefix.max_bytes = state_cache_bytes
-        self.caches.plan.max_entries = plan_cache_entries
-        self.caches.transpile.max_entries = transpile_cache_entries
+        self.caches.prefix.max_size = state_cache_bytes
+        self.caches.plan.max_size = plan_cache_entries
+        self.caches.transpile.max_size = transpile_cache_entries
         #: Server-level counters (requests, cache stats, latency histogram);
         #: guarded by ``_lock`` — MetricSet is not thread-safe.
         self.metrics = MetricSet()
@@ -387,9 +386,7 @@ class SimulationServer:
             response.status = "rejected"
             response.error = decision.reason
             return
-        backend_name = request.backend or (
-            "batched" if decision.use_batched else "optimized"
-        )
+        backend_name = request.backend or "batched"
 
         result: SimulationResult | None = None
         if noiseless:
@@ -504,7 +501,7 @@ class SimulationServer:
                 chunk = keys[begin : begin + _WARM_SAMPLE_CHUNK]
                 streams = [PathStream(key) for key in chunk]
                 # One vectorised block draw, bitwise equal to each stream's
-                # scalar ``.random()`` — the same primitive the batched
+                # scalar ``.random()`` — the same primitive the
                 # traversal's leaf sampling consumes.
                 uniforms = draw_block(streams, 1)[:, 0]
                 positions = np.minimum(
@@ -563,7 +560,7 @@ class SimulationServer:
             return
         backend = get_backend("optimized")
         num_qubits = plan.subcircuits[0].num_qubits
-        if statevector_bytes(num_qubits) > (self.caches.prefix.max_bytes
+        if statevector_bytes(num_qubits) > (self.caches.prefix.max_size
                                             or float("inf")):
             return
         state = backend.reset_state(backend.allocate_state(num_qubits))

@@ -155,12 +155,18 @@ class _CountingNoiseModel:
 
 def test_engine_matches_noise_events_once_per_gate(qft5, depolarizing_model):
     """Regression: the engine used to call events_for_gate twice per gate
-    (once to apply, once just to count the applications)."""
+    (once to apply, once just to count the applications).  One lookup
+    serves a whole chunk of sibling rows: one per gate per kernel call."""
     plan = UniformCircuitPartitioner(2).plan(qft5, 32, depolarizing_model)
     counting = _CountingNoiseModel(depolarizing_model)
-    engine = TQSimEngine(counting, seed=4)
+    engine = TQSimEngine(counting, seed=4, max_batch=3)
     result = engine.run(qft5, 32, plan=plan)
-    assert counting.lookups == result.cost.gate_applications
+    kernel_calls, parents = 0, 1
+    for arity, length in zip(plan.tree.arities, plan.subcircuit_lengths):
+        kernel_calls += parents * -(-arity // engine.max_batch) * length
+        parents *= arity
+    assert counting.lookups == kernel_calls
+    assert counting.lookups < result.cost.gate_applications
     assert result.cost.noise_applications > 0
 
 

@@ -1,10 +1,12 @@
 """Batched-trajectory backend: kernel equivalence, noise semantics, counts.
 
 The ``batched`` backend must advance every row of a ``(B, 2**n)`` block
-exactly like the sequential backends advance a single state, and the
-:class:`~repro.core.batched.BatchedTrajectorySimulator` built on it must be
-statistically indistinguishable from the per-shot baseline (and *identical*
-to it, same seed, when no randomness beyond outcome sampling is involved).
+exactly like the single-state backends advance one state.  Per-shot
+execution on it is the engine on a no-reuse
+:class:`~repro.core.partitioners.SingleShotPartitioner` plan with
+``max_batch=B``, which must be statistically indistinguishable from the
+per-shot baseline (and *identical* to one-trajectory-at-a-time execution,
+same seed).
 """
 
 import numpy as np
@@ -18,7 +20,8 @@ from repro.backends import (
 )
 from repro.circuits import Circuit, Gate
 from repro.circuits.library import ghz_circuit, qft_circuit
-from repro.core import BaselineNoisySimulator, BatchedTrajectorySimulator
+from repro.core import BaselineNoisySimulator, SingleShotPartitioner, TQSimEngine
+from repro.core.pathrng import PathStream, child_keys
 from repro.metrics import total_variation_distance
 from repro.noise import (
     KrausChannel,
@@ -39,6 +42,19 @@ def _random_batch(batch: int, num_qubits: int, rng: np.random.Generator
     return block / np.linalg.norm(block, axis=1, keepdims=True)
 
 
+def _row_streams(rows: int) -> list[PathStream]:
+    return [PathStream(int(key)) for key in child_keys(2024, 0, rows)]
+
+
+def _per_shot(noise_model, seed, max_batch, circuit, shots,
+              backend="batched"):
+    """Batched per-shot execution: a no-reuse plan, B shots per chunk."""
+    engine = TQSimEngine(
+        noise_model, seed=seed, backend=backend, max_batch=max_batch
+    )
+    return engine.run(circuit, shots, partitioner=SingleShotPartitioner())
+
+
 # ---------------------------------------------------------------------------
 # Registry
 # ---------------------------------------------------------------------------
@@ -47,11 +63,10 @@ def test_batched_backend_is_registered():
     backend = get_backend("batched")
     assert isinstance(backend, BatchedNumpyBackend)
     assert isinstance(get_backend("batched_numpy"), BatchedNumpyBackend)
-    assert backend.batch_size >= 1
 
 
 def test_batched_backend_validates_inputs():
-    backend = BatchedNumpyBackend(batch_size=2)
+    backend = BatchedNumpyBackend()
     state = backend.reset_state(backend.allocate_batch(3, 2))
     with pytest.raises(ValueError):
         backend.apply_unitary(state, np.eye(2), (5,))
@@ -60,7 +75,7 @@ def test_batched_backend_validates_inputs():
     with pytest.raises(ValueError):
         backend.apply_unitary(state, np.eye(4), (1, 1))
     with pytest.raises(ValueError):
-        BatchedNumpyBackend(batch_size=0)
+        backend.allocate_batch(3, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +136,7 @@ def test_batched_backend_works_in_sequential_engines():
 
 def test_batched_backend_partial_view():
     """Kernels work on a leading view of the pooled block (partial pass)."""
-    backend = BatchedNumpyBackend(batch_size=8)
+    backend = BatchedNumpyBackend()
     buffer = backend.allocate_batch(3, 8)
     state = backend.reset_state(buffer[:3])
     backend.apply_gate(state, Gate.standard("h", (1,)))
@@ -136,7 +151,7 @@ def test_batched_backend_partial_view():
 # ---------------------------------------------------------------------------
 def test_mixture_indices_sampled_per_trajectory(rng):
     channel = PauliChannel({"X": 0.5})
-    indices = channel.sample_mixture_indices(rng, 2000)
+    indices = channel.mixture_indices_from_uniforms(rng.random(2000))
     assert indices.shape == (2000,)
     assert set(np.unique(indices)) <= {0, 1}
     assert abs(indices.mean() - 0.5) < 0.05
@@ -144,18 +159,18 @@ def test_mixture_indices_sampled_per_trajectory(rng):
 
 def test_groupwise_noise_application_partitions_the_batch(rng):
     """Each trajectory gets its own sampled branch, applied group-wise."""
-    backend = BatchedNumpyBackend(batch_size=64)
+    backend = BatchedNumpyBackend()
     state = backend.reset_state(backend.allocate_batch(1, 64))
     channel = PauliChannel({"X": 0.5})
     event = NoiseModel(single_qubit_channels=[channel]).events_for_gate(
         Gate.standard("h", (0,))
     )[0]
-    backend.apply_noise_events(state, [event], rng)
+    backend.apply_noise_events_multi(state, [event], _row_streams(64))
     flipped = np.isclose(np.abs(state[:, 1]), 1.0)
     untouched = np.isclose(np.abs(state[:, 0]), 1.0)
     assert np.all(flipped | untouched)
     # With p=0.5 over 64 trajectories both groups are present (p ~ 2**-64
-    # of this flaking per tail, and the rng fixture is deterministic anyway).
+    # of this flaking per tail, and the row streams are fixed anyway).
     assert flipped.any() and untouched.any()
 
 
@@ -163,24 +178,24 @@ def test_batched_noise_without_identity_first_branch(rng):
     """Branch 0 of an identity-not-first mixture must be applied, batched too."""
     x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     always_x = KrausChannel([x], name="always_x", mixture=([1.0], [x]))
-    backend = BatchedNumpyBackend(batch_size=4)
+    backend = BatchedNumpyBackend()
     state = backend.reset_state(backend.allocate_batch(1, 4))
     event = NoiseModel(single_qubit_channels=[always_x]).events_for_gate(
         Gate.standard("h", (0,))
     )[0]
-    backend.apply_noise_events(state, [event], rng)
+    backend.apply_noise_events_multi(state, [event], _row_streams(4))
     np.testing.assert_allclose(np.abs(state[:, 1]), 1.0, atol=ATOL)
 
 
 def test_batched_general_kraus_keeps_norm_per_trajectory(rng):
     from repro.noise import AmplitudeDampingChannel
 
-    backend = BatchedNumpyBackend(batch_size=8)
+    backend = BatchedNumpyBackend()
     state = _random_batch(8, 3, rng)
     event = NoiseModel(
         single_qubit_channels=[AmplitudeDampingChannel(0.4)]
     ).events_for_gate(Gate.standard("h", (1,)))[0]
-    backend.apply_noise_events(state, [event], rng)
+    backend.apply_noise_events_multi(state, [event], _row_streams(8))
     np.testing.assert_allclose(
         np.linalg.norm(state, axis=1), np.ones(8), atol=1e-8
     )
@@ -189,28 +204,30 @@ def test_batched_general_kraus_keeps_norm_per_trajectory(rng):
 # ---------------------------------------------------------------------------
 # Batched outcome sampling
 # ---------------------------------------------------------------------------
-def test_sample_outcomes_one_per_trajectory(rng):
-    backend = BatchedNumpyBackend(batch_size=5)
+def test_sample_outcomes_one_per_trajectory():
+    backend = BatchedNumpyBackend()
     state = backend.reset_state(backend.allocate_batch(2, 5))
     backend.apply_gate(state, Gate.standard("x", (1,)))
-    assert backend.sample_outcomes(state, rng) == ["10"] * 5
+    assert backend.sample_outcomes_multi(state, _row_streams(5)) == ["10"] * 5
 
 
-def test_sample_outcomes_vectorized_readout_flips(rng):
-    backend = BatchedNumpyBackend(batch_size=6)
+def test_sample_outcomes_vectorized_readout_flips():
+    backend = BatchedNumpyBackend()
     state = backend.reset_state(backend.allocate_batch(2, 6))
     backend.apply_gate(state, Gate.standard("x", (0,)))
-    outcomes = backend.sample_outcomes(state, rng, ReadoutError(1.0))
+    outcomes = backend.sample_outcomes_multi(
+        state, _row_streams(6), ReadoutError(1.0)
+    )
     assert outcomes == ["10"] * 6
 
 
 def test_sample_outcome_on_batched_state_raises(rng):
-    backend = BatchedNumpyBackend(batch_size=3)
+    backend = BatchedNumpyBackend()
     state = backend.reset_state(backend.allocate_batch(2, 3))
     with pytest.raises(ValueError, match="sample_outcomes"):
         backend.sample_outcome(state, rng)
     single = backend.reset_state(backend.allocate_batch(2, 1))
-    assert backend.sample_outcome(single, rng) == "00"
+    assert backend.sample_outcome(single[0], rng) == "00"
 
 
 # ---------------------------------------------------------------------------
@@ -218,15 +235,11 @@ def test_sample_outcome_on_batched_state_raises(rng):
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize("batch_size", [1, 4, 16])
 def test_ideal_counts_identical_to_baseline(batch_size):
-    """No noise: same seed, same RNG stream, bit-identical counts."""
+    """Same seed: bit-identical counts to one-shot-at-a-time execution."""
     circuit = qft_circuit(5)
-    shots = 50  # deliberately not a multiple of 16 (partial final pass)
-    batched = BatchedTrajectorySimulator(
-        None, seed=9, batch_size=batch_size
-    ).run(circuit, shots)
-    baseline = BaselineNoisySimulator(None, seed=9, backend="optimized").run(
-        circuit, shots
-    )
+    shots = 50  # deliberately not a multiple of 16 (partial final chunk)
+    batched = _per_shot(None, 9, batch_size, circuit, shots)
+    baseline = _per_shot(None, 9, 1, circuit, shots, backend="optimized")
     assert batched.counts == baseline.counts
 
 
@@ -243,9 +256,7 @@ def test_noisy_counts_statistically_consistent(
         model = depolarizing_noise_model(
             single_qubit_error=0.05, two_qubit_error=0.10, readout_error=0.03
         )
-    batched = BatchedTrajectorySimulator(
-        model, seed=31, batch_size=batch_size
-    ).run(circuit, shots)
+    batched = _per_shot(model, 31, batch_size, circuit, shots)
     sequential = BaselineNoisySimulator(model, seed=77, backend="optimized").run(
         circuit, shots
     )
@@ -261,9 +272,7 @@ def test_noisy_counts_consistent_with_reference_backend(
 ):
     circuit = ghz_circuit(4)
     shots = 800
-    batched = BatchedTrajectorySimulator(
-        strong_depolarizing_model, seed=5, batch_size=8
-    ).run(circuit, shots)
+    batched = _per_shot(strong_depolarizing_model, 5, 8, circuit, shots)
     reference = BaselineNoisySimulator(
         strong_depolarizing_model, seed=6, backend="numpy"
     ).run(circuit, shots)
@@ -276,21 +285,15 @@ def test_noisy_counts_consistent_with_reference_backend(
 def test_batched_readout_error_deterministic_flip():
     model = NoiseModel(readout_error=ReadoutError(1.0))
     circuit = Circuit(2).x(0)
-    result = BatchedTrajectorySimulator(model, seed=5, batch_size=4).run(
-        circuit, 25
-    )
+    result = _per_shot(model, 5, 4, circuit, 25)
     # |01> with every bit flipped reads out as |10>.
     assert result.counts == {"10": 25}
 
 
 def test_batched_counts_reproducible_with_seed(strong_depolarizing_model):
     circuit = ghz_circuit(4)
-    first = BatchedTrajectorySimulator(
-        strong_depolarizing_model, seed=3, batch_size=8
-    ).run(circuit, 150)
-    second = BatchedTrajectorySimulator(
-        strong_depolarizing_model, seed=3, batch_size=8
-    ).run(circuit, 150)
+    first = _per_shot(strong_depolarizing_model, 3, 8, circuit, 150)
+    second = _per_shot(strong_depolarizing_model, 3, 8, circuit, 150)
     assert first.counts == second.counts
 
 
@@ -301,9 +304,7 @@ def test_batched_cost_counters_keep_per_shot_semantics(
     bv6, depolarizing_model
 ):
     shots = 50
-    result = BatchedTrajectorySimulator(
-        depolarizing_model, seed=1, batch_size=16
-    ).run(bv6, shots)
+    result = _per_shot(depolarizing_model, 1, 16, bv6, shots)
     sequential = BaselineNoisySimulator(depolarizing_model, seed=1).run(
         bv6, shots
     )
@@ -311,16 +312,13 @@ def test_batched_cost_counters_keep_per_shot_semantics(
     assert result.cost.gate_applications == sequential.cost.gate_applications
     assert result.cost.noise_applications == sequential.cost.noise_applications
     assert result.cost.leaf_samples == shots
+    assert result.cost.state_copies == 0
     assert result.cost.wall_time_seconds > 0
-    assert result.metadata["simulator"] == "batched"
-    assert result.metadata["batch_size"] == 16
-    assert result.metadata["passes"] == 4  # ceil(50 / 16)
+    assert result.metadata["max_batch"] == 16
 
 
 def test_batched_simulator_validation(ghz3):
     with pytest.raises(ValueError):
-        BatchedTrajectorySimulator().run(ghz3, 0)
+        _per_shot(None, 0, 4, ghz3, 0)
     with pytest.raises(ValueError):
-        BatchedTrajectorySimulator(batch_size=0)
-    with pytest.raises(TypeError, match="batched"):
-        BatchedTrajectorySimulator(backend="optimized")
+        TQSimEngine(max_batch=0)

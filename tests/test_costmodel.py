@@ -54,10 +54,11 @@ def test_copy_cost_ratios():
 
 def test_plan_seconds_sequential_counts_every_node():
     model = synthetic_model()
-    # Tree (2, 3), lengths (4, 5): layer0 = 2*4 gates, layer1 = 6*5 gates,
-    # 6 reuse copies, 6 leaf samples.
+    # Tree (2, 3), lengths (4, 5) at cap 1: layer0 = 2*4 one-row calls,
+    # layer1 = 6*5 one-row calls (900 + 100 ns each), 6 reuse copies,
+    # 6 leaf samples.
     expected_ns = (2 * 4 + 6 * 5) * 1000 + 6 * 100 + 6 * 500
-    assert model.plan_seconds((2, 3), (4, 5), batched=False) == pytest.approx(
+    assert model.plan_seconds((2, 3), (4, 5), max_batch=1) == pytest.approx(
         expected_ns * 1e-9
     )
 
@@ -69,14 +70,14 @@ def test_plan_seconds_batched_mirrors_engine_chunking():
     per_gate = 2 * (900 + 4 * 100) + (900 + 2 * 100)
     # One layer of 3 gates; layer 0 never copies, so only leaf samples add.
     expected_ns = 3 * per_gate + 10 * 500
-    assert model.plan_seconds((10,), (3,), batched=True,
+    assert model.plan_seconds((10,), (3,),
                               max_batch=4) == pytest.approx(expected_ns * 1e-9)
 
 
 def test_plan_seconds_batched_beats_sequential_when_overhead_dominates():
     model = synthetic_model()
-    assert model.plan_seconds((16, 16), (10, 10), batched=True, max_batch=16) \
-        < model.plan_seconds((16, 16), (10, 10), batched=False)
+    assert model.plan_seconds((16, 16), (10, 10), max_batch=16) \
+        < model.plan_seconds((16, 16), (10, 10), max_batch=1)
 
 
 def test_plan_seconds_monotone_in_subcircuit_length():
@@ -89,7 +90,7 @@ def test_plan_seconds_monotone_in_subcircuit_length():
 def test_predicted_speedup_favors_reuse():
     model = synthetic_model()
     # 20-gate circuit split in half vs 256 flat runs of the whole circuit.
-    assert model.predicted_speedup((16, 16), (10, 10), batched=False) > 1.0
+    assert model.predicted_speedup((16, 16), (10, 10), max_batch=1) > 1.0
 
 
 def test_plan_seconds_validation():
@@ -134,15 +135,16 @@ def test_calibrate_measures_positive_costs():
     assert model.batch_overhead_ns >= 0
 
 
-def test_calibrate_non_batch_backend_degenerate_fit():
+def test_calibrate_row_looping_backend_measures_batch_surface():
+    """Every backend has a batch surface; a row-looping one is measured
+    through the ABC's row loop like any other."""
     model = calibrate_cost_model("optimized", num_qubits=4, repeats=4,
                                  rounds=1)
-    assert model.batch_overhead_ns == 0.0
-    assert model.batch_row_ns == model.gate_ns
-    # The degenerate fit makes both traversal predictions coincide.
-    assert model.plan_seconds((4,), (3,), batched=True) == pytest.approx(
-        model.plan_seconds((4,), (3,), batched=False)
-    )
+    assert model.backend == "optimized"
+    assert model.batch_row_ns > 0
+    assert model.batch_overhead_ns >= 0
+    assert model.plan_seconds((4,), (3,), max_batch=4) <= \
+        model.plan_seconds((4,), (3,), max_batch=1)
 
 
 def test_calibrate_validation():
@@ -288,7 +290,7 @@ def test_admit_plan_memory_only_path():
     assert isinstance(decision, AdmissionDecision)
     assert decision.fits_memory
     assert decision.max_batch == 8
-    assert decision.use_batched
+    assert decision.predicted_seconds is None
 
 
 def test_admit_plan_shrinks_batch_under_tight_budget():
@@ -362,35 +364,18 @@ def test_admit_plan_validates_prefix_states():
 
 
 def test_admit_plan_consults_cost_model():
-    # Make batching catastrophically expensive: the model should veto it
-    # even though memory admits the full batch.
-    slow_batch = synthetic_model(
-        batch_overhead_ns=1e9, batch_row_ns=1e9, gate_ns=10.0
-    )
-    decision = admit_plan(
-        num_qubits=4,
-        arities=(16,),
-        subcircuit_lengths=(6,),
-        memory_bytes=8 * 2**30,
-        cost_model=slow_batch,
-    )
-    assert not decision.use_batched
-    assert decision.predicted_sequential_seconds is not None
-    assert decision.predicted_seconds == pytest.approx(
-        decision.predicted_sequential_seconds
-    )
-    # And a model where batching is nearly free picks the batched leg.
-    fast_batch = synthetic_model(
-        batch_overhead_ns=0.0, batch_row_ns=1.0, gate_ns=1000.0
-    )
-    decision = admit_plan(
-        num_qubits=4,
-        arities=(16,),
-        subcircuit_lengths=(6,),
-        memory_bytes=8 * 2**30,
-        cost_model=fast_batch,
-    )
-    assert decision.use_batched
-    assert decision.predicted_seconds == pytest.approx(
-        decision.predicted_batched_seconds
-    )
+    # The decision prices the admitted cap, including a cap lowered to fit
+    # a tight budget.
+    model = synthetic_model()
+    for memory_bytes, expected_cap in ((8 * 2**30, 16), (4 * 2**8, 4)):
+        decision = admit_plan(
+            num_qubits=4,
+            arities=(16,),
+            subcircuit_lengths=(6,),
+            memory_bytes=memory_bytes,
+            cost_model=model,
+        )
+        assert decision.max_batch == expected_cap
+        assert decision.predicted_seconds == pytest.approx(
+            model.plan_seconds((16,), (6,), max_batch=expected_cap)
+        )

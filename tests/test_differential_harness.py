@@ -1,20 +1,23 @@
 """Randomized differential testing across every execution path.
 
-Five ways to execute one plan all claim *bitwise-identical* counts and cost
+Six ways to execute one plan all claim *bitwise-identical* counts and cost
 counters under the per-node-path seeding contract (see
 :mod:`repro.core.engine`):
 
-1. sequential tree traversal (``TQSimEngine`` on the ``"optimized"`` backend)
-2. batched tree traversal (``TQSimEngine`` on the ``"batched"`` backend)
-3. in-process sharded dispatch (``SerialDispatcher``)
-4. multiprocess sharded dispatch (``PoolDispatcher``)
-5. deep path-based sharding (``max_depth=2``, splitting below the first layer)
+1. ``TQSimEngine`` on the ``"optimized"`` backend (the ABC's row loop over
+   in-place kernels)
+2. ``TQSimEngine`` on the ``"numpy"`` reference backend (the row loop over
+   out-of-place tensordot kernels)
+3. ``TQSimEngine`` on the ``"batched"`` backend (vectorised kernels)
+4. in-process sharded dispatch (``SerialDispatcher``)
+5. multiprocess sharded dispatch (``PoolDispatcher``)
+6. deep path-based sharding (``max_depth=2``, splitting below the first layer)
 
 This harness keeps that invariant honest with a seeded randomized matrix:
 each case draws a benchmark circuit from the paper suite, a random
 ``(arity, layers)`` manual plan, a random noise model (none / depolarizing /
 depolarizing + readout error / amplitude damping, i.e. a general Kraus
-channel) and random shard counts, then asserts all five paths agree
+channel) and random shard counts, then asserts all six paths agree
 bit-for-bit.  Cases are deterministic per seed, so any failure reproduces
 with ``-k case_NN``.
 """
@@ -30,7 +33,7 @@ from repro.noise.channels import AmplitudeDampingChannel
 
 NUM_CASES = 40
 
-#: Suite entries small enough to run five full execution paths per case.
+#: Suite entries small enough to run six full execution paths per case.
 SMALL_SPECS = [spec for spec in PAPER_SUITE if spec.paper_width <= 6]
 
 
@@ -89,7 +92,10 @@ def test_all_execution_paths_bitwise_identical(case_seed):
     )
     shots = plan.total_outcomes
 
-    sequential = TQSimEngine(noise, seed=run_seed, backend="optimized").run(
+    optimized = TQSimEngine(noise, seed=run_seed, backend="optimized").run(
+        circuit, shots, plan=plan
+    )
+    reference = TQSimEngine(noise, seed=run_seed, backend="numpy").run(
         circuit, shots, plan=plan
     )
     batched = TQSimEngine(noise, seed=run_seed, backend="batched").run(
@@ -115,14 +121,15 @@ def test_all_execution_paths_bitwise_identical(case_seed):
         ).run(circuit, shots, plan=plan)
 
     results = {
-        "sequential": sequential,
+        "optimized": optimized,
+        "numpy": reference,
         "batched": batched,
         "serial": serial,
         "pooled": pooled,
         "deep": deep,
     }
-    reference_counts = sequential.counts
-    reference_counters = _counter_tuple(sequential)
+    reference_counts = optimized.counts
+    reference_counters = _counter_tuple(optimized)
     for name, result in results.items():
         assert result.counts == reference_counts, (
             f"{name} counts diverged (seed {case_seed}, "
@@ -183,8 +190,8 @@ def test_pinned_mixed_channel_kinds_interleave_identically(qft5):
     Depolarizing (mixed-unitary) events draw one uniform per row and
     amplitude-damping (general-Kraus) applications interleave their draws
     on the *same* per-row counters, so the all-mixed-unitary pre-draw fast
-    path must decline and the fallback must still match the sequential
-    traversal draw for draw.
+    path must decline and the fallback must still match the row-looping
+    backend draw for draw.
     """
     noise = NoiseModel(
         single_qubit_channels=depolarizing_noise_model()
@@ -193,14 +200,14 @@ def test_pinned_mixed_channel_kinds_interleave_identically(qft5):
         name="depolarizing+damping",
     )
     plan = ManualPartitioner((4, 6)).plan(qft5, 24, noise)
-    sequential = TQSimEngine(noise, seed=77, backend="optimized").run(
+    optimized = TQSimEngine(noise, seed=77, backend="optimized").run(
         qft5, 24, plan=plan
     )
     batched = TQSimEngine(noise, seed=77, backend="batched").run(
         qft5, 24, plan=plan
     )
-    assert batched.counts == sequential.counts
-    assert _counter_tuple(batched) == _counter_tuple(sequential)
+    assert batched.counts == optimized.counts
+    assert _counter_tuple(batched) == _counter_tuple(optimized)
 
 
 def test_pinned_path_keyed_draws_are_reproducible(qft5):

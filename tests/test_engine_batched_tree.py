@@ -1,9 +1,9 @@
-"""Batched-tree vs sequential-tree equivalence for the TQSim engine.
+"""Vectorised vs row-looping backends under the TQSim engine's traversal.
 
-The batched traversal must be a pure *execution* change: same plan, same
-seed, same accounted work — identical counts without noise, statistically
-consistent counts with noise, and identical cost counters at every chunk
-size.
+The ``batched`` backend's vectorised kernels must be a pure *execution*
+change against the ``optimized`` backend's row loop: same plan, same seed,
+same accounted work — identical counts and identical cost counters at every
+chunk cap.
 """
 
 import numpy as np
@@ -16,7 +16,6 @@ from repro.core import (
     TQSimEngine,
     UniformCircuitPartitioner,
 )
-from repro.core.engine import DEFAULT_MAX_TREE_BATCH
 from repro.metrics import total_variation_distance
 from repro.noise import NoiseModel, ReadoutError, depolarizing_noise_model
 from repro.statevector import StatevectorSimulator
@@ -40,23 +39,24 @@ def _run(circuit, shots, plan, noise_model=None, seed=7, **engine_kwargs):
 # ---------------------------------------------------------------------------
 # Noiseless equivalence: bitwise-identical counts
 # ---------------------------------------------------------------------------
-@pytest.mark.parametrize("batch_size", [1, 4, None])
-def test_noiseless_counts_identical_to_sequential(qft5, batch_size):
+@pytest.mark.parametrize("max_batch", [1, 4, None])
+def test_noiseless_counts_identical_to_sequential(qft5, max_batch):
     shots = 96
     plan = UniformCircuitPartitioner(3).plan(qft5, shots, None)
     sequential = _run(qft5, shots, plan, backend="optimized")
-    batched = _run(qft5, shots, plan, backend="batched", batch_size=batch_size)
+    caps = {} if max_batch is None else {"max_batch": max_batch}
+    batched = _run(qft5, shots, plan, backend="batched", **caps)
     assert batched.counts == sequential.counts
     assert batched.metadata["execution"] == "tree-batched"
-    assert sequential.metadata["execution"] == "tree-sequential"
+    assert sequential.metadata["execution"] == "tree-batched"
 
 
 def test_noiseless_counts_identical_with_full_arity_chunks(qft5):
     shots = 64
     plan = ManualPartitioner((16, 4)).plan(qft5, shots, None)
     sequential = _run(qft5, shots, plan, backend="optimized")
-    # Full-arity chunks: batch_size set to the largest layer arity.
-    batched = _run(qft5, shots, plan, backend="batched", batch_size=16)
+    # Full-arity chunks: max_batch set to the largest layer arity.
+    batched = _run(qft5, shots, plan, backend="batched", max_batch=16)
     assert batched.counts == sequential.counts
 
 
@@ -111,11 +111,11 @@ def test_cost_counters_identical_across_batch_sizes(qft5, depolarizing_model):
     full_arity = max(plan.tree.arities)
     sequential = _run(qft5, shots, plan, depolarizing_model, backend="optimized")
     counters = {
-        batch_size: _counter_tuple(
+        max_batch: _counter_tuple(
             _run(qft5, shots, plan, depolarizing_model,
-                 backend="batched", batch_size=batch_size)
+                 backend="batched", max_batch=max_batch)
         )
-        for batch_size in (1, 4, full_arity)
+        for max_batch in (1, 4, full_arity)
     }
     assert counters[1] == counters[4] == counters[full_arity]
     assert counters[1] == _counter_tuple(sequential)
@@ -139,27 +139,6 @@ def test_shots_records_actual_leaves_and_requested_in_metadata(qft5):
 # ---------------------------------------------------------------------------
 # Engine configuration and backend plumbing
 # ---------------------------------------------------------------------------
-def test_batch_size_implies_batched_backend():
-    engine = TQSimEngine(batch_size=8)
-    assert engine.backend.name == "batched"
-    assert engine.chunk_cap == 8
-
-
-def test_batch_size_clamped_by_max_batch():
-    engine = TQSimEngine(batch_size=32, max_batch=8)
-    assert engine.chunk_cap == 8
-    assert TQSimEngine(backend="batched").chunk_cap == DEFAULT_MAX_TREE_BATCH
-
-
-def test_batch_size_rejected_on_sequential_backend():
-    with pytest.raises(TypeError):
-        TQSimEngine(backend="optimized", batch_size=4)
-    with pytest.raises(ValueError):
-        TQSimEngine(batch_size=0)
-    with pytest.raises(ValueError):
-        TQSimEngine(max_batch=0)
-
-
 def test_broadcast_into_copies_state_to_every_row():
     backend = get_backend("batched")
     state = backend.initial_state(3)
@@ -167,12 +146,6 @@ def test_broadcast_into_copies_state_to_every_row():
     batch = backend.broadcast_into(backend.allocate_batch(3, 5), state)
     assert batch.shape == (5, 8)
     assert np.array_equal(batch, np.broadcast_to(state, (5, 8)))
-
-
-def test_supports_batch_flags():
-    assert get_backend("batched").supports_batch
-    assert not get_backend("optimized").supports_batch
-    assert not get_backend("numpy").supports_batch
 
 
 def test_batched_traversal_honours_out_of_place_backends(qft5):

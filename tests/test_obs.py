@@ -281,7 +281,7 @@ def test_summary_self_time_subtracts_children():
 
 def test_drift_report_prices_full_tree_runs():
     class FakeModel:
-        def plan_seconds(self, arities, lengths, batched=True, max_batch=64):
+        def plan_seconds(self, arities, lengths, max_batch=64):
             return 0.25
 
     tracer = Tracer()
@@ -293,7 +293,6 @@ def test_drift_report_prices_full_tree_runs():
             qubits=5,
             arities=[8, 8],
             lengths=[10, 10],
-            batched=True,
             chunk_cap=64,
             full_tree=True,
         ):
@@ -306,7 +305,7 @@ def test_drift_report_prices_full_tree_runs():
         qubits=5,
         arities=[8, 8],
         lengths=[10, 10],
-        batched=True,
+        chunk_cap=64,
         full_tree=False,
     ):
         pass
@@ -529,13 +528,21 @@ def test_engine_spans_carry_path_attributes(qft5):
     run_span = next(s for s in tracer.spans if s.name == "engine.run")
     assert run_span.attributes["full_tree"] is True
     assert run_span.attributes["tree"] == str(plan.tree)
+    # One span per chunk of siblings: ``path`` names the parent node,
+    # ``first_child``/``rows`` the slice of its children the chunk ran.
     subcircuits = [s for s in tracer.spans if s.name == "engine.subcircuit"]
-    assert subcircuits
-    paths = {s.attributes["path"] for s in subcircuits}
-    assert any("/" not in p for p in paths)  # first-layer nodes
-    assert any("/" in p for p in paths)  # second-layer nodes
-    layers = {s.attributes["layer"] for s in subcircuits}
-    assert layers == {0, 1}
+    by_layer = {0: [], 1: []}
+    for span in subcircuits:
+        by_layer[span.attributes["layer"]].append(span.attributes)
+    assert {a["path"] for a in by_layer[0]} == {""}  # the virtual root
+    assert {a["path"] for a in by_layer[1]} == {str(j) for j in range(12)}
+    assert sum(a["rows"] for a in by_layer[0]) == 12
+    assert sum(a["rows"] for a in by_layer[1]) == 12 * 5
+    for attrs in by_layer[1]:
+        assert 0 <= attrs["first_child"] < 5
+    copies = [s for s in tracer.spans if s.name == "engine.copy"]
+    assert sum(s.attributes["rows"] for s in copies) == 12 * 5
+    assert all("/" not in s.attributes["path"] for s in copies)
     leaf_samples = [s for s in tracer.spans if s.name == "engine.leaf_sample"]
     # One sampled row per leaf node of the (12, 5) tree.
     assert sum(s.attributes["rows"] for s in leaf_samples) == 12 * 5

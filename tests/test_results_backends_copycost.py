@@ -3,15 +3,17 @@
 import numpy as np
 import pytest
 
-from repro.core import (
+from repro.analysis.devices import (
     A100,
     CORE_I7,
     DEVICE_PROFILES,
     RTX_3060,
     V100,
     XEON_6130,
+)
+from repro.backends import NumpyBackend
+from repro.core import (
     CostCounters,
-    NumpyBackend,
     SimulationResult,
     measure_copy_cost,
     merge_many,

@@ -19,7 +19,7 @@ import pytest
 
 from repro.circuits.library import ghz_circuit, qft_circuit
 from repro.core import ManualPartitioner, TQSimEngine
-from repro.core.statecache import PrefixStateCache
+from repro.core.statecache import LRUCache, one_per_entry
 from repro.dispatch import ShardPlanner
 from repro.obs.schema import (
     LATENCY_BUCKET_BOUNDS_MS,
@@ -28,7 +28,6 @@ from repro.obs.schema import (
 )
 from repro.obs.tracer import MetricSet, Tracer
 from repro.serve import (
-    LRUCache,
     SimulationRequest,
     SimulationServer,
     build_request_mix,
@@ -46,7 +45,7 @@ def _request(circuit, **kwargs):
 # Cache primitives
 # ---------------------------------------------------------------------------
 def test_lru_cache_evicts_in_recency_order_and_counts_stats():
-    cache = LRUCache(max_entries=2)
+    cache = LRUCache(2, size=one_per_entry)
     cache.put("a", 1)
     cache.put("b", 2)
     assert cache.get("a") == 1  # refresh "a": "b" is now the LRU entry
@@ -62,10 +61,10 @@ def test_lru_cache_evicts_in_recency_order_and_counts_stats():
 
 def test_prefix_state_cache_byte_bound_and_rejection():
     state = np.zeros(4, dtype=np.complex128)  # 64 bytes
-    cache = PrefixStateCache(max_bytes=128)
+    cache = LRUCache(max_size=128)
     assert cache.put(("a",), state)
     assert cache.put(("b",), state)
-    assert cache.current_bytes == 128
+    assert cache.current_size == 128
     assert cache.put(("c",), state)  # evicts ("a",), the LRU entry
     assert cache.get(("a",)) is None
     assert cache.get(("c",)) is not None
@@ -79,7 +78,7 @@ def test_prefix_state_cache_byte_bound_and_rejection():
 
 def test_namespaced_views_share_entries_and_stats():
     state = np.ones(2, dtype=np.complex128)
-    cache = PrefixStateCache(max_bytes=1024)
+    cache = LRUCache(max_size=1024)
     depth_view = cache.namespaced("hash", (3, 2))
     path_view = cache.namespaced("hash", (3, 2), key_fn=len)
     depth_view.put(1, state)
@@ -266,7 +265,7 @@ def test_engine_bounded_prefix_cache_is_invisible_to_counts(qft5):
         qft5, deep.requested_shots, plan=deep.plan,
         assignments=deep.assignments,
     )
-    tiny = PrefixStateCache(max_bytes=1)
+    tiny = LRUCache(max_size=1)
     bounded = TQSimEngine().run(
         qft5, deep.requested_shots, plan=deep.plan,
         assignments=deep.assignments, prefix_cache=tiny,
